@@ -37,6 +37,10 @@
 //                       see FaultPlan::parse)
 //   --timings           print compile stage times to stderr
 //
+// Numeric values must be plain base-10 integers in range (N >= 1 for
+// --ranks/--threads, N >= 0 for the millisecond flags); anything else is a
+// usage error.
+//
 // Exit codes: 0 clean, 1 usage/compile error, 2 static warnings found,
 // 3 runtime error detected, 4 deadlock detected.
 #include "driver/pipeline.h"
@@ -47,10 +51,15 @@
 #include "support/str.h"
 #include "support/trace.h"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <string_view>
 
 namespace {
 
@@ -93,30 +102,60 @@ int usage() {
   return 1;
 }
 
+/// Parses all of `text`, the value part of command-line argument `arg`, as
+/// a base-10 integer in [lo, hi] into `out`. An empty value, a leading '+'
+/// or trailing junk, or an out-of-range number is reported on stderr and
+/// returns false (the caller prints usage).
+template <typename T>
+bool parse_number(const std::string& arg, std::string_view text, T lo, T hi,
+                  T& out) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
+    std::cerr << "invalid value in " << arg << " (expected an integer in ["
+              << lo << ", " << hi << "])\n";
+    return false;
+  }
+  out = v;
+  return true;
+}
+
 bool parse_args(int argc, char** argv, CliOptions& opts) {
   if (argc < 3) return false;
   opts.command = argv[1];
   opts.file = argv[2];
+  constexpr int32_t kIntMax = std::numeric_limits<int32_t>::max();
+  // Numeric flags: {prefix, destination, lowest accepted value}.
+  const struct {
+    const char* prefix;
+    int32_t* dest;
+    int32_t lo;
+  } numeric[] = {
+      {"--ranks=", &opts.ranks, 1},
+      {"--threads=", &opts.threads, 1},
+      {"--timeout-ms=", &opts.timeout_ms, 0},
+      {"--hang-timeout-ms=", &opts.timeout_ms, 0},
+      {"--soft-deadline-ms=", &opts.soft_deadline_ms, 0},
+      {"--hard-deadline-ms=", &opts.hard_deadline_ms, 0},
+  };
   for (int i = 3; i < argc; ++i) {
     const std::string a = argv[i];
     auto value_of = [&](const std::string& prefix) -> std::string {
       return a.substr(prefix.size());
     };
-    if (a == "--no-verify") opts.verify = false;
+    const auto* flag = std::find_if(
+        std::begin(numeric), std::end(numeric),
+        [&](const auto& f) { return a.rfind(f.prefix, 0) == 0; });
+    if (flag != std::end(numeric)) {
+      if (!parse_number<int32_t>(a, value_of(flag->prefix), flag->lo, kIntMax,
+                                 *flag->dest))
+        return false;
+    } else if (a == "--no-verify") opts.verify = false;
     else if (a == "--taint-filter") opts.taint_filter = true;
     else if (a == "--match-sequences") opts.match_sequences = true;
     else if (a == "--type-only-cc") opts.type_only_cc = true;
     else if (a == "--initial=multithreaded") opts.multithreaded_initial = true;
-    else if (a.rfind("--ranks=", 0) == 0) opts.ranks = std::stoi(value_of("--ranks="));
-    else if (a.rfind("--threads=", 0) == 0) opts.threads = std::stoi(value_of("--threads="));
-    else if (a.rfind("--timeout-ms=", 0) == 0)
-      opts.timeout_ms = std::stoi(value_of("--timeout-ms="));
-    else if (a.rfind("--hang-timeout-ms=", 0) == 0)
-      opts.timeout_ms = std::stoi(value_of("--hang-timeout-ms="));
-    else if (a.rfind("--soft-deadline-ms=", 0) == 0)
-      opts.soft_deadline_ms = std::stoi(value_of("--soft-deadline-ms="));
-    else if (a.rfind("--hard-deadline-ms=", 0) == 0)
-      opts.hard_deadline_ms = std::stoi(value_of("--hard-deadline-ms="));
     else if (a == "--engine=bytecode") opts.engine = interp::Engine::Bytecode;
     else if (a == "--engine=ast") opts.engine = interp::Engine::Ast;
     else if (a == "--dump-bytecode") opts.dump_bytecode = true;
@@ -127,7 +166,10 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
     else if (a.rfind("--metrics-json=", 0) == 0)
       opts.metrics_path = value_of("--metrics-json=");
     else if (a.rfind("--fault-seed=", 0) == 0) {
-      opts.fault_seed = std::stoull(value_of("--fault-seed="));
+      if (!parse_number<uint64_t>(a, value_of("--fault-seed="), 0,
+                                  std::numeric_limits<uint64_t>::max(),
+                                  opts.fault_seed))
+        return false;
       opts.fault_seed_set = true;
     } else if (a.rfind("--fault-plan=", 0) == 0)
       opts.fault_plan_path = value_of("--fault-plan=");

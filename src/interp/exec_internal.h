@@ -56,7 +56,7 @@ struct SharedState {
   std::atomic<uint64_t>* steps_retired_metric = nullptr;
   std::atomic<uint64_t>* batch_claims_metric = nullptr;
   /// Fault injector (effective()-filtered; null = off). Engines use it for
-  /// PCT-style thread-spawn jitter; simmpi consumes it independently.
+  /// PCT-style region-entry jitter; simmpi consumes it independently.
   FaultInjector* fault = nullptr;
   /// Opcode-mix profiling table (bytecode engine; null = off): kNumOps
   /// atomic counters owned by Executor::run. VM threads count into plain

@@ -5,12 +5,18 @@
 // [nowait], master, critical (global unnamed lock), barrier, sections
 // [nowait], static worksharing for [nowait].
 //
+// Threads: team members other than the master run on a process-wide cache
+// of parked worker threads, so a region creates no OS thread once the cache
+// holds enough idle workers. Barriers, the join and a worker's wait for its
+// next region spin briefly, then block (support/spin_wait.h).
+//
 // Cancellation: if any team thread throws, the team is cancelled — threads
 // blocked at team barriers unwind with TeamCancelled and the first exception
 // is rethrown on the forking thread after the join. This lets the MPI
 // verifier abort a world cleanly from inside nested parallel regions.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -37,9 +43,10 @@ class Team;
 struct ProcessDomain {
   std::mutex critical_mu;
   /// Optional fault-injection hook (PCT-style priority perturbation): when
-  /// set, every team member calls it with its thread number before running
-  /// its region body, letting a seeded injector reshuffle which thread
-  /// "wins" each region. Null (the default) costs one branch per spawn.
+  /// set, every team member calls it with its thread number at region entry,
+  /// before running its region body, letting a seeded injector reshuffle
+  /// which thread "wins" each region. Null (the default) costs one branch
+  /// per member per region.
   std::function<void(int32_t)> spawn_jitter;
 };
 
@@ -88,9 +95,10 @@ private:
   int32_t size_;
   std::mutex mu_;
   std::condition_variable cv_;
-  int32_t arrived_ = 0;
-  uint64_t generation_ = 0;
-  bool cancelled_ = false;
+  int32_t arrived_ = 0; // guarded by mu_
+  // Written under mu_; read without it by spinning barrier waiters.
+  std::atomic<uint64_t> generation_{0};
+  std::atomic<bool> cancelled_{false};
   std::map<uint64_t, bool> single_claims_;
   std::map<uint64_t, int32_t> section_next_;
 };
@@ -99,13 +107,19 @@ private:
 class Runtime {
 public:
   /// Runs `body` on a new team. The calling thread becomes thread 0
-  /// (master); `num_threads - 1` workers are spawned. An `if_clause` of
-  /// false or `num_threads <= 1` creates a serialized team of size 1 (a
-  /// real team, as OpenMP does). The join implies a full barrier. The first
+  /// (master); threads 1..num_threads-1 run on workers borrowed from the
+  /// process-wide cache, which creates a worker only when none is idle. An
+  /// `if_clause` of false or `num_threads <= 1` creates a serialized team of
+  /// size 1 (a real team, as OpenMP does). The join implies a full barrier
+  /// and returns only after every borrowed worker has handed back. The first
   /// exception thrown by any team thread is rethrown after the join.
   static void parallel(const ThreadContext& parent, int32_t num_threads,
                        bool if_clause,
                        const std::function<void(ThreadContext&)>& body);
+
+  /// Worker threads created so far by the process-wide cache (idle or busy).
+  /// Workers live until the process exits.
+  [[nodiscard]] static size_t worker_count();
 
   /// Executes the per-thread flow of a `single [nowait]` construct:
   /// `construct_id` must come from the caller's per-thread counter.

@@ -2,8 +2,10 @@
 
 #include "support/fault.h"
 #include "support/metrics.h"
+#include "support/spin_wait.h"
 #include "support/str.h"
 #include "support/trace.h"
+#include "support/wrap_int.h"
 
 #include <algorithm>
 
@@ -108,8 +110,8 @@ std::string WorldState::death_note(int32_t world_rank) {
 
 int64_t apply_reduce(ReduceOp op, int64_t a, int64_t b) noexcept {
   switch (op) {
-    case ReduceOp::Sum: return a + b;
-    case ReduceOp::Prod: return a * b;
+    case ReduceOp::Sum: return wrap_add(a, b);
+    case ReduceOp::Prod: return wrap_mul(a, b);
     case ReduceOp::Min: return std::min(a, b);
     case ReduceOp::Max: return std::max(a, b);
     case ReduceOp::Land: return (a != 0 && b != 0) ? 1 : 0;
@@ -245,14 +247,14 @@ void Comm::compute_results(Slot& s) {
       s.out_vec[static_cast<size_t>(sig.root)] = s.contrib;
       // Scalar view: checksum at root (used by the DSL bridge).
       int64_t sum = 0;
-      for (int64_t v : s.contrib) sum += v;
+      for (int64_t v : s.contrib) sum = wrap_add(sum, v);
       s.out_scalar[static_cast<size_t>(sig.root)] = sum;
       break;
     }
     case CollectiveKind::Allgather: {
       for (size_t r = 0; r < n; ++r) s.out_vec[r] = s.contrib;
       int64_t sum = 0;
-      for (int64_t v : s.contrib) sum += v;
+      for (int64_t v : s.contrib) sum = wrap_add(sum, v);
       std::fill(s.out_scalar.begin(), s.out_scalar.end(), sum);
       break;
     }
@@ -263,8 +265,8 @@ void Comm::compute_results(Slot& s) {
         // bridge's synthetic scatter payload).
         s.out_scalar[r] = r < src.size()
                               ? src[r]
-                              : s.contrib[static_cast<size_t>(sig.root)] +
-                                    static_cast<int64_t>(r);
+                              : wrap_add(s.contrib[static_cast<size_t>(sig.root)],
+                                         static_cast<int64_t>(r));
       }
       break;
     }
@@ -276,7 +278,7 @@ void Comm::compute_results(Slot& s) {
         for (size_t q = 0; q < n; ++q) {
           const auto& src = s.vec_contrib[q];
           out[q] = r < src.size() ? src[r] : s.contrib[q];
-          sum += out[q];
+          sum = wrap_add(sum, out[q]);
         }
         s.out_scalar[r] = sum;
       }
@@ -420,8 +422,9 @@ Comm::Result Comm::take_result(int32_t rank, Slot& s, size_t idx) {
 }
 
 void Comm::wait_complete(Slot& s) {
-  std::unique_lock lk(s.m);
-  s.cv.wait(lk, [&] {
+  // Most slots complete within microseconds of the last arrival, so spin
+  // briefly before parking; every wake source sets an atomic first.
+  spin_then_wait(s.m, s.cv, [&] {
     return s.complete.load(std::memory_order_acquire) || world_.is_aborted() ||
            revoked_.load(std::memory_order_acquire) || slot_dead(s);
   });

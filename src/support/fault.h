@@ -59,9 +59,9 @@ struct FaultPlan {
   uint32_t jitter_den = 1;
 
   /// PCT-style priority perturbation: with probability pct_num/pct_den a
-  /// newly spawned miniomp team member sleeps a seeded duration in
-  /// [0, max_delay_us] before running its body, reshuffling which thread
-  /// "wins" each region.
+  /// miniomp team member sleeps a seeded duration in [0, max_delay_us] at
+  /// region entry, before running its body, reshuffling which thread "wins"
+  /// each region.
   uint32_t pct_num = 0;
   uint32_t pct_den = 1;
 
@@ -121,7 +121,7 @@ public:
   /// Park/wake jitter: maybe yield / briefly sleep before a park.
   void park_jitter(int32_t world_rank) noexcept;
 
-  /// PCT-style perturbation at miniomp team-member start.
+  /// PCT-style perturbation of a miniomp team member at region entry.
   void thread_start_jitter(int32_t world_rank, int32_t thread_num) noexcept;
 
 private:

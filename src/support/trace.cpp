@@ -19,13 +19,20 @@ struct TlsCache {
   uint64_t uid = 0;
   void* buffer = nullptr;
 };
+struct TlsRegistration {
+  TlsCache cache;
+  std::weak_ptr<const void> alive; // expires with the Tracer
+};
 // Fast single-entry cache for the common one-tracer-per-run case, backed by
-// the full list of (tracer uid, buffer) registrations this thread has made —
+// the list of (tracer uid, buffer) registrations this thread has made —
 // without it, a thread alternating between two live tracers would register a
-// fresh ring on every switch. Stale uids of destroyed tracers are harmless:
-// uids are never reused, so their entries simply never match again.
+// fresh ring on every switch. A stale uid in the single entry is harmless:
+// uids are never reused, so it simply never matches again. The list sheds
+// the entries of destroyed tracers whenever the thread registers anew, so a
+// long-lived thread (a cached team worker) that writes into one tracer per
+// run keeps it bounded by the tracers still alive.
 thread_local TlsCache g_tls;
-thread_local std::vector<TlsCache> g_tls_all;
+thread_local std::vector<TlsRegistration> g_tls_all;
 
 size_t round_up_pow2(size_t n) {
   size_t p = 1;
@@ -78,6 +85,7 @@ const char* to_string(TraceEv ev) noexcept {
 Tracer::Tracer(Options opts)
     : opts_(opts),
       uid_(g_tracer_uids.fetch_add(1, std::memory_order_relaxed)),
+      alive_(std::make_shared<const char>()),
       epoch_(std::chrono::steady_clock::now()) {
   opts_.ring_capacity = round_up_pow2(std::max<size_t>(opts_.ring_capacity, 8));
 }
@@ -92,10 +100,10 @@ int64_t Tracer::now_ns() const noexcept {
 
 Tracer::ThreadBuffer& Tracer::buffer() {
   if (g_tls.uid == uid_) return *static_cast<ThreadBuffer*>(g_tls.buffer);
-  for (const TlsCache& entry : g_tls_all) {
-    if (entry.uid == uid_) {
-      g_tls = entry;
-      return *static_cast<ThreadBuffer*>(entry.buffer);
+  for (const TlsRegistration& entry : g_tls_all) {
+    if (entry.cache.uid == uid_) {
+      g_tls = entry.cache;
+      return *static_cast<ThreadBuffer*>(entry.cache.buffer);
     }
   }
   std::scoped_lock lk(mu_);
@@ -106,9 +114,13 @@ Tracer::ThreadBuffer& Tracer::buffer() {
   ThreadBuffer& ref = *tb;
   buffers_.push_back(std::move(tb));
   g_tls = {uid_, &ref};
-  g_tls_all.push_back(g_tls);
+  std::erase_if(g_tls_all,
+                [](const TlsRegistration& r) { return r.alive.expired(); });
+  g_tls_all.push_back({g_tls, alive_});
   return ref;
 }
+
+size_t Tracer::thread_registrations() noexcept { return g_tls_all.size(); }
 
 void Tracer::emit(TraceEv kind, int32_t rank, int64_t a, int64_t b,
                   int64_t c) noexcept {

@@ -143,6 +143,10 @@ public:
   /// Human-readable one-liner for a decoded event (flight recorder body).
   [[nodiscard]] std::string describe(const TraceEvent& e) const;
 
+  /// Tracers the calling thread holds a buffer registration for. Entries of
+  /// destroyed tracers are shed at the thread's next registration.
+  [[nodiscard]] static size_t thread_registrations() noexcept;
+
 private:
   // One ring slot. All-relaxed atomic fields + the buffer's release-stored
   // head make concurrent reads TSan-clean without slowing writers (plain
@@ -170,6 +174,7 @@ private:
 
   Options opts_;
   const uint64_t uid_;                  // globally unique; keys the TLS cache
+  std::shared_ptr<const void> alive_;   // TLS registrations watch its expiry
   std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mu_;               // guards buffers_ / comm_names_ lists
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;

@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
 #include <numeric>
 #include <set>
+#include <string>
+#include <thread>
+#include <tuple>
 
 namespace parcoach::miniomp {
 namespace {
@@ -209,6 +214,132 @@ TEST(MiniOmp, JoinBarrierOrdersSideEffects) {
     // guarantee visibility after the region.
   });
   EXPECT_EQ(std::accumulate(data.begin(), data.end(), 0), 64);
+}
+
+// ---- The worker cache ------------------------------------------------------
+
+/// Spins (yielding) until `pred` holds or `limit` passes; true if it held.
+template <typename Pred>
+bool eventually(Pred pred, std::chrono::seconds limit = std::chrono::seconds(20)) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(MiniOmpPool, BackToBackRegionsReuseCachedWorkers) {
+  ThreadContext root;
+  Runtime::parallel(root, 4, true, [](ThreadContext&) {}); // warm the cache
+  const size_t warm = Runtime::worker_count();
+  EXPECT_GE(warm, 3u);
+  std::atomic<int64_t> sum{0};
+  for (int i = 0; i < 10000; ++i)
+    Runtime::parallel(root, 4, true, [&](ThreadContext& ctx) {
+      sum.fetch_add(ctx.thread_num + 1, std::memory_order_relaxed);
+    });
+  EXPECT_EQ(sum.load(), 10000 * (1 + 2 + 3 + 4));
+  // Every region handed its workers back before returning, so the next one
+  // found them idle: no thread was created after the warm-up.
+  EXPECT_EQ(Runtime::worker_count(), warm);
+}
+
+TEST(MiniOmpPool, NestedTeamsBorrowWhileOuterWorkersAreBusy) {
+  // The outer workers are busy running the inner regions' masters, so the
+  // inner teams must get fresh workers instead of waiting for busy ones.
+  // All 2x3 leaves must be live at once: each waits for the other five.
+  ThreadContext root;
+  std::atomic<int> live{0};
+  std::atomic<bool> starved{false};
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  Runtime::parallel(root, 2, true, [&](ThreadContext& outer) {
+    Runtime::parallel(outer, 3, true, [&](ThreadContext& inner) {
+      EXPECT_EQ(inner.active_level(), 2);
+      {
+        std::scoped_lock lk(mu);
+        threads.insert(std::this_thread::get_id());
+      }
+      live.fetch_add(1);
+      if (!eventually([&] { return live.load() == 6; })) starved.store(true);
+      Runtime::barrier(inner);
+    });
+  });
+  EXPECT_FALSE(starved.load());
+  EXPECT_EQ(live.load(), 6);
+  EXPECT_EQ(threads.size(), 6u);
+}
+
+class MiniOmpPoolCancel : public ::testing::TestWithParam<std::tuple<int32_t, int>> {};
+
+TEST_P(MiniOmpPoolCancel, ThrowCancelsSiblingsAtTheBarrierAndRethrowsOnMaster) {
+  // The thrower waits `delay_ms` first: 0 catches its siblings still
+  // spinning at the barrier, 50 lets them park on the condition variable.
+  const auto [thrower, delay_ms] = GetParam();
+  ThreadContext root;
+  std::atomic<int> at_barrier{0};
+  std::atomic<int> past_barrier{0};
+  try {
+    Runtime::parallel(root, 4, true, [&](ThreadContext& ctx) {
+      if (ctx.thread_num == thrower) {
+        if (delay_ms > 0) {
+          eventually([&] { return at_barrier.load() == 3; });
+          std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+        }
+        throw std::runtime_error("boom from " + std::to_string(thrower));
+      }
+      at_barrier.fetch_add(1);
+      Runtime::barrier(ctx); // would hang without cancellation
+      past_barrier.fetch_add(1);
+    });
+    ADD_FAILURE() << "the member's exception was not rethrown";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "boom from " + std::to_string(thrower));
+  }
+  EXPECT_EQ(past_barrier.load(), 0);
+  // The cancelled team's workers went back to the cache in working order.
+  std::atomic<int> after{0};
+  Runtime::parallel(root, 4, true, [&](ThreadContext& ctx) {
+    Runtime::barrier(ctx);
+    after.fetch_add(1);
+  });
+  EXPECT_EQ(after.load(), 4);
+}
+
+INSTANTIATE_TEST_SUITE_P(SpinningOrParked, MiniOmpPoolCancel,
+                         ::testing::Combine(::testing::Values(0, 2),
+                                            ::testing::Values(0, 50)));
+
+TEST(MiniOmpPool, OversubscribedTeamCompletes) {
+  // 16 members on a host with far fewer cores: the spin phase yields, so
+  // barriers still complete promptly instead of starving descheduled members.
+  ThreadContext root;
+  std::atomic<int> rounds{0};
+  Runtime::parallel(root, 16, true, [&](ThreadContext& ctx) {
+    for (int i = 0; i < 200; ++i) {
+      if (ctx.thread_num == 0) rounds.fetch_add(1);
+      Runtime::barrier(ctx);
+    }
+  });
+  EXPECT_EQ(rounds.load(), 200);
+}
+
+TEST(MiniOmpPoolDeathTest, ProcessExitsCleanlyWithIdleWorkers) {
+  // A fresh process parks workers and exits while they sit idle. Exit must
+  // not hang on them, and under LeakSanitizer (the ASan job) the cached
+  // workers must not count as leaks: LSan fails the exit code otherwise.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        ThreadContext root;
+        Runtime::parallel(root, 2, true, [](ThreadContext& outer) {
+          Runtime::parallel(outer, 3, true, [](ThreadContext&) {});
+        });
+        if (Runtime::worker_count() == 0) std::exit(3);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 namespace parcoach::simmpi {
@@ -53,6 +54,33 @@ TEST(SimMpi, AllreduceOps) {
     if (mpi.allreduce(r + 4, ReduceOp::Band) == 4) checked.fetch_add(1);
   });
   EXPECT_EQ(checked.load(), 4 * 8);
+}
+
+TEST(SimMpi, ReductionsAndChecksumsWrapOnOverflow) {
+  // Sums and products past INT64_MAX wrap in two's complement (no undefined
+  // behaviour; the ASan+UBSan job runs this test). The vector collectives'
+  // internal checksums overflow too, and their data must come through intact.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  World w(fast_world(4));
+  std::atomic<int> ok{0};
+  const auto rep = w.run([&](Rank& mpi) {
+    const uint64_t r = static_cast<uint64_t>(mpi.rank());
+    // 4 * (2^63 - 1) = 2^65 - 4, and (2^63 - 1)^2 = 1 (mod 2^64).
+    if (mpi.allreduce(kMax, ReduceOp::Sum) == -4) ok.fetch_add(1);
+    if (mpi.allreduce(kMax, ReduceOp::Prod) == 1) ok.fetch_add(1);
+    if (mpi.allreduce(kMin, ReduceOp::Sum) == 0) ok.fetch_add(1);
+    const uint64_t prefix = (r + 1) * static_cast<uint64_t>(kMax);
+    if (mpi.scan(kMax, ReduceOp::Sum) == static_cast<int64_t>(prefix))
+      ok.fetch_add(1);
+    const std::vector<int64_t> all(4, kMax);
+    if (mpi.allgather(kMax) == all) ok.fetch_add(1);
+    const auto g = mpi.gather(kMax, 0);
+    if (g == (mpi.rank() == 0 ? all : std::vector<int64_t>{})) ok.fetch_add(1);
+    if (mpi.alltoall(all) == all) ok.fetch_add(1);
+  });
+  EXPECT_TRUE(rep.ok) << rep.abort_reason << rep.deadlock_details;
+  EXPECT_EQ(ok.load(), 4 * 7);
 }
 
 TEST(SimMpi, ReduceOnlyRootGetsResult) {

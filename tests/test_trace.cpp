@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <map>
@@ -154,6 +155,39 @@ TEST(Trace, ConcurrentEmittersAndReaderStayCoherent) {
   reader.join();
   EXPECT_EQ(t.events_captured(),
             static_cast<uint64_t>(kThreads) * kPerThread);
+}
+
+TEST(Trace, LongLivedThreadShedsRegistrationsOfDestroyedTracers) {
+  // A cached team worker outlives every run; one tracer per run must not
+  // grow its registration list without bound.
+  std::thread worker([] {
+    Tracer keeper(Tracer::Options{true, 8}); // stays alive throughout
+    keeper.emit(TraceEv::WatchdogTick, /*rank=*/-1, /*a=*/-1);
+    size_t most = 0;
+    for (int run = 0; run < 10000; ++run) {
+      Tracer t(Tracer::Options{true, 8});
+      t.emit(TraceEv::SlotClaim, /*rank=*/0, /*a=*/run, /*b=*/1);
+      t.emit(TraceEv::SlotComplete, /*rank=*/0, /*a=*/run, /*b=*/2);
+      most = std::max(most, Tracer::thread_registrations());
+      const auto evs = t.snapshot();
+      ASSERT_EQ(evs.size(), 2u);
+      EXPECT_EQ(evs[0].kind, TraceEv::SlotClaim);
+      EXPECT_EQ(evs[1].kind, TraceEv::SlotComplete);
+      EXPECT_EQ(evs[0].a, run);
+      EXPECT_EQ(evs[1].a, run);
+      EXPECT_EQ(evs[0].tid, 0);
+    }
+    // Registering each new tracer sheds its destroyed predecessor: only the
+    // keeper and the current tracer remain.
+    EXPECT_EQ(most, 2u);
+    keeper.emit(TraceEv::WatchdogTick, /*rank=*/-1, /*a=*/-2);
+    const auto kept = keeper.snapshot();
+    ASSERT_EQ(kept.size(), 2u);
+    EXPECT_EQ(kept[0].a, -1);
+    EXPECT_EQ(kept[1].a, -2);
+    EXPECT_EQ(keeper.events_captured(), 2u);
+  });
+  worker.join();
 }
 
 TEST(Trace, FlightRecorderListsRequestedRanks) {
