@@ -2,7 +2,7 @@
 // of a buggy program before and after the selective instrumentation pass
 // (check_cc / check_cc_final / check_mono / region_enter / region_exit),
 // plus the plan summary and the optimized bytecode the VM will actually
-// execute (baked arming, fused superinstructions, quickened collectives).
+// execute (baked arming, fused superinstructions).
 // This is the code-transformation half of the paper.
 //
 // Usage: instrument_dump [corpus-entry-name]   (default: bug_concurrent_singles)
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   std::cout << "\n=== bytecode (baseline encoding) ===\n"
             << interp::disassemble(bc);
   interp::run_passes(bc, {});
-  std::cout << "=== bytecode (optimized: fuse + regalloc + quicken) ===\n"
+  std::cout << "=== bytecode (optimized: fuse + regalloc) ===\n"
             << interp::disassemble(bc);
   return 0;
 }

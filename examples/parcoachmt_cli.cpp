@@ -25,7 +25,7 @@
 //   --dump-bytecode     print the bytecode listing for `run`/`instrument`,
 //                       both the baseline encoding and the optimized form
 //                       after the pass pipeline
-//   --no-fuse / --no-regalloc / --no-quicken
+//   --no-fuse / --no-regalloc
 //                       disable one bytecode optimization pass (bisection
 //                       aid; affects `run` and --dump-bytecode)
 //   --trace=FILE        record a flight-recorder trace of `run` and export
@@ -96,7 +96,7 @@ int usage() {
                " [--hang-timeout-ms=N] [--soft-deadline-ms=N]"
                " [--hard-deadline-ms=N] [--type-only-cc]"
                " [--engine=bytecode|ast] [--dump-bytecode] [--no-fuse]"
-               " [--no-regalloc] [--no-quicken] [--trace=FILE]"
+               " [--no-regalloc] [--trace=FILE]"
                " [--metrics-json=FILE]"
                " [--fault-seed=N] [--fault-plan=FILE] [--timings]\n";
   return 1;
@@ -161,7 +161,6 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
     else if (a == "--dump-bytecode") opts.dump_bytecode = true;
     else if (a == "--no-fuse") opts.passes.fuse = false;
     else if (a == "--no-regalloc") opts.passes.regalloc = false;
-    else if (a == "--no-quicken") opts.passes.quicken = false;
     else if (a.rfind("--trace=", 0) == 0) opts.trace_path = value_of("--trace=");
     else if (a.rfind("--metrics-json=", 0) == 0)
       opts.metrics_path = value_of("--metrics-json=");
@@ -184,7 +183,7 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
 }
 
 /// --dump-bytecode: prints the baseline encoding next to the optimized form
-/// so a fusion/quickening rewrite can be inspected (and bisected with the
+/// so a fusion or register-allocation rewrite can be inspected (and bisected with the
 /// --no-* pass switches).
 void dump_bytecode(const driver::CompileResult& compiled,
                    const SourceManager& sm,
@@ -195,8 +194,7 @@ void dump_bytecode(const driver::CompileResult& compiled,
             << interp::disassemble(bc);
   interp::run_passes(bc, passes);
   std::cout << "=== bytecode (after passes: fuse=" << (passes.fuse ? "on" : "off")
-            << " regalloc=" << (passes.regalloc ? "on" : "off")
-            << " quicken=" << (passes.quicken ? "on" : "off") << ") ===\n"
+            << " regalloc=" << (passes.regalloc ? "on" : "off") << ") ===\n"
             << interp::disassemble(bc);
 }
 

@@ -104,11 +104,4 @@ inline constexpr int kNumCmpKinds = 6;    // Lt..Ne
   }
 }
 
-/// True for MpiColl and its quickened flavors (all carry an MpiSite in a).
-[[nodiscard]] inline bool is_mpi_coll(Op op) {
-  return op == Op::MpiColl ||
-         (static_cast<int>(op) >= static_cast<int>(Op::MpiCollWU) &&
-          static_cast<int>(op) <= static_cast<int>(Op::MpiICollCA));
-}
-
 } // namespace parcoach::interp

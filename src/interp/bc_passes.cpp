@@ -1,7 +1,7 @@
 // Post-compile optimization passes over interp::BcProgram (see bytecode.h).
 //
 // The baseline encoder (bytecode.cpp) stays a simple one-pass compiler; the
-// speed comes from three passes applied here, in order:
+// speed comes from two passes applied here, in order:
 //
 //   1. Peephole fusion ("superinstructions"): rewrites the hot adjacent
 //      shapes the opcode-mix histogram identifies — Const/Load operands
@@ -13,11 +13,6 @@
 //   2. Register allocation: linear scan over the encoder's virtual
 //      registers with live-interval reuse, shrinking Frame::regs to what
 //      the fused code still touches.
-//   3. Quickening: MpiColl sites whose flavor is fully decided at compile
-//      time (world vs registry comm x armed vs unarmed x blocking vs
-//      nonblocking, from the baked arming plan) are rewritten to
-//      specialized opcodes, so the hot handler stops re-branching on site
-//      flags.
 //
 // Safety rules the fuser lives by (the AST-oracle differential and the
 // pass-combination property test enforce them):
@@ -512,33 +507,12 @@ void regalloc_function(BcProgram& p, BcFunction& fn) {
   fn.num_regs = next;
 }
 
-// ---- Pass 3: collective quickening ------------------------------------------
-
-/// Rewrites eligible MpiColl instructions to their specialized flavor. Init,
-/// abort, finalize, comm-management ops and mono-guarded sites keep the
-/// generic handler (cold paths with extra semantics); everything else has
-/// its armed/comm/nonblocking flavor fixed at compile time.
-void quicken_function(BcProgram& p, BcFunction& fn) {
-  for (BcInstr& I : fn.code) {
-    if (I.op != Op::MpiColl || I.a < 0) continue;
-    const MpiSite& st = p.mpi_sites[static_cast<size_t>(I.a)];
-    const frontend::Stmt& s = *st.stmt;
-    if (s.is_mpi_init || s.is_mpi_abort || st.mono) continue;
-    if (ir::is_comm_op(s.coll) || s.coll == ir::CollectiveKind::Finalize)
-      continue;
-    const int flavor = (st.armed ? 1 : 0) | (st.comm_reg >= 0 ? 2 : 0) |
-                       (ir::is_nonblocking(s.coll) ? 4 : 0);
-    I.op = static_cast<Op>(static_cast<int>(Op::MpiCollWU) + flavor);
-  }
-}
-
 } // namespace
 
 void run_passes(BcProgram& p, const BcPassOptions& opts) {
   for (BcFunction& fn : p.funcs) {
     if (opts.fuse) fuse_function(p, fn);
     if (opts.regalloc) regalloc_function(p, fn);
-    if (opts.quicken) quicken_function(p, fn);
   }
 }
 

@@ -451,17 +451,7 @@ private:
       return;
     }
     st.mono = plan_ && plan_->mono_stmts.count(s.stmt_id) > 0;
-    const bool cc = plan_ && plan_->cc_stmts.count(s.stmt_id) > 0;
-    st.armed = cc;
-    if (cc) {
-      // Pre-encode the CC id's kind + reduce-op fields once per run (the
-      // skeleton table); only root and comm id get patched at call time.
-      CcSiteInfo info;
-      info.kind = s.coll;
-      info.op = ir::is_comm_op(s.coll) ? std::nullopt : s.reduce_op;
-      out_.cc_sites.push_back(info);
-      st.cc_slot = static_cast<int32_t>(out_.cc_sites.size() - 1);
-    }
+    st.armed = plan_ && plan_->cc_stmts.count(s.stmt_id) > 0;
     if (ir::is_comm_op(s.coll)) {
       // AST evaluation order: parent comm, then color/key (split) or the
       // scalar operand (agree flag, errhandler mode).
@@ -482,10 +472,6 @@ private:
       if (s.mpi_comm) st.comm_reg = c_expr(*s.mpi_comm);
       fill_target(st, s);
     }
-    // Comm-management ops resolve the registry directly (creation/free are
-    // not hot); only collectives *on* a communicator get a cache slot.
-    if (st.comm_reg >= 0 && !ir::is_comm_op(s.coll))
-      st.comm_cache = out_.num_comm_caches++;
     emit(Op::MpiColl, add_mpi_site(std::move(st)));
   }
 
@@ -505,8 +491,6 @@ private:
 BcProgram compile(const frontend::Program& program, const SourceManager& sm,
                   const core::InstrumentationPlan* plan) {
   BcProgram out;
-  out.instrumented = plan != nullptr;
-  out.cc_final_in_main = plan && plan->cc_final_in_main;
   const frontend::SlotMap slots = frontend::resolve_slots(program);
 
   std::unordered_map<std::string, int32_t> func_ids;
@@ -552,12 +536,11 @@ std::string disassemble(const BcProgram& p) {
       if (in.b >= 0) out += str::cat(" b=", in.b);
       if (in.c >= 0) out += str::cat(" c=", in.c);
       if (in.imm != 0 || spec.imm) out += str::cat(" imm=", in.imm);
-      if (is_mpi_coll(in.op)) {
+      if (in.op == Op::MpiColl) {
         const MpiSite& st = p.mpi_sites[static_cast<size_t>(in.a)];
         out += str::cat(" [", ir::to_string(st.stmt->coll));
         if (st.armed) out += " cc";
         if (st.mono) out += " mono";
-        if (st.comm_cache >= 0) out += str::cat(" comm$", st.comm_cache);
         out += "]";
       }
       out += "\n";

@@ -7,16 +7,10 @@
 //     falls out of pointer sharing: a team-thread view copies the forker's
 //     pointers (shared outer variables) and `Decl` rebinds a slot to the
 //     view's own storage the moment the region body re-declares it (private);
-//   - every collective site carries its compile-time arming decision (the
-//     plan's cc/mono membership) and, for armed sites, an index into the
-//     per-run CC-skeleton table: the skeleton pre-encodes kind + reduce op,
-//     and only the evaluated root and registry comm id are patched in at
-//     call time (rt::Verifier::cc_patch) — no per-call plan lookup, no
-//     encode_cc recomputation;
-//   - comm-handle operands get a per-thread CommRef cache slot: the registry
-//     is consulted once per acquisition (handle value + free-epoch checked
-//     per call, both thread-local except one relaxed atomic load), not once
-//     per collective;
+//   - every MPI site carries its compile-time arming decision (the plan's
+//     cc/mono membership), so no call looks the plan up; the site's
+//     evaluated operand registers go to the MPI executor the AST engine
+//     uses too (mpi_ops.h);
 //   - callee names resolve to dense function ids at compile time.
 //
 // Control flow inside a function is flat jumps (if/while/for); OpenMP
@@ -44,8 +38,8 @@ namespace parcoach::interp {
 
 // The opcode set lives in bc_ops.def (one X-macro line per op: enumerator,
 // disassembler name, per-operand roles). The baseline compiler emits only the
-// simple core; the peephole/quickening passes (run_passes) rewrite hot shapes
-// into the fused and specialized blocks.
+// simple core; the peephole pass (run_passes) rewrites hot shapes into the
+// fused blocks.
 enum class Op : uint8_t {
 #define PARCOACH_OP(id, name, ra, rb, rc, imm) id,
 #include "interp/bc_ops.def"
@@ -85,8 +79,6 @@ struct MpiSite {
   int32_t root_reg = -1;     // evaluated root / split key / recv source
   int32_t payload_reg = -1;  // payload / split color / request / recv tag
   int32_t comm_reg = -1;     // evaluated communicator handle
-  int32_t comm_cache = -1;   // per-thread CommRef cache index
-  int32_t cc_slot = -1;      // per-run CC-skeleton table index (armed sites)
   int32_t target_slot = -1;  // result destination (-1: none)
   bool declares_target = false;
   int32_t list = -1;         // reg_lists index (waitall requests)
@@ -115,14 +107,6 @@ struct PrintSite {
   int32_t args = -1; // reg_lists index
 };
 
-/// One armed collective site's compile-time CC knowledge. The skeleton value
-/// itself is computed once per *run* (it depends on VerifierOptions), into a
-/// table indexed by MpiSite::cc_slot.
-struct CcSiteInfo {
-  ir::CollectiveKind kind{};
-  std::optional<ir::ReduceOp> op;
-};
-
 struct BcFunction {
   const frontend::FuncDecl* decl = nullptr;
   std::vector<BcInstr> code;
@@ -134,16 +118,12 @@ struct BcFunction {
 struct BcProgram {
   std::vector<BcFunction> funcs;
   int32_t main_func = -1;
-  bool instrumented = false;    // a plan was attached at compile time
-  bool cc_final_in_main = false;
   std::vector<MpiSite> mpi_sites;
   std::vector<OmpSite> omp_sites;
   std::vector<CallSite> call_sites;
   std::vector<PrintSite> print_sites;
   std::vector<std::vector<int32_t>> reg_lists;
   std::vector<std::string> traps;
-  std::vector<CcSiteInfo> cc_sites;   // indexed by MpiSite::cc_slot
-  int32_t num_comm_caches = 0;
 
   [[nodiscard]] size_t total_instrs() const {
     size_t n = 0;
@@ -165,15 +145,12 @@ struct BcProgram {
 struct BcPassOptions {
   bool regalloc = true; // linear-scan temporary-register reallocation
   bool fuse = true;     // peephole superinstruction fusion
-  bool quicken = true;  // MpiColl -> per-flavor specialized opcodes
 };
 
 /// Rewrites `p` in place through the optimization pipeline: peephole fusion
 /// (superinstructions over the hot Load/Const/compare/store shapes), then
-/// collective quickening (per-flavor MpiColl opcodes from the baked arming
-/// plan), then linear-scan register allocation (live-interval reuse of the
-/// one-pass encoder's virtual registers; frame-slot arrays stay the variable
-/// ABI). Each pass preserves the AST-oracle semantics exactly — the corpus
+/// linear-scan register allocation (live-interval reuse of the one-pass
+/// encoder's virtual registers; frame-slot arrays stay the variable ABI). Each pass preserves the AST-oracle semantics exactly — the corpus
 /// differential holds every pass combination to byte-identical outcomes.
 void run_passes(BcProgram& p, const BcPassOptions& opts = {});
 

@@ -11,6 +11,7 @@
 #include "support/fault.h"
 #include "support/source_manager.h"
 #include "support/str.h"
+#include "support/wrap_int.h"
 
 #include <atomic>
 #include <cstdint>
@@ -131,14 +132,6 @@ private:
   uint64_t published_ = 0; // executed count already added to the shared total
 };
 
-/// True iff the executing thread is thread 0 of every enclosing team — the
-/// process main thread, which is what MPI_THREAD_FUNNELED permits.
-inline bool is_master_chain(const miniomp::ThreadContext* ctx) {
-  for (const miniomp::ThreadContext* c = ctx; c; c = c->parent)
-    if (c->thread_num != 0) return false;
-  return true;
-}
-
 /// Diagnostic wording shared by both engines so outcomes stay byte-identical.
 inline std::string undefined_var_msg(const SourceManager& sm,
                                      const std::string& name, SourceLoc loc) {
@@ -148,23 +141,32 @@ inline std::string undefined_fn_msg(const SourceManager& sm,
                                     const std::string& name, SourceLoc loc) {
   return str::cat("undefined function '", name, "' at ", sm.describe(loc));
 }
-inline std::string mpi_abort_msg(int32_t rank, int64_t code) {
-  return str::cat("rank ", rank, ": mpi_abort(", code, ")");
+
+/// Integer division and remainder as both engines execute them
+/// (support/wrap_int.h): a zero divisor and the one overflowing quotient,
+/// INT64_MIN / -1, are user faults rather than signals. The throw stays out
+/// of line, off the VM's arithmetic fast path.
+[[noreturn, gnu::noinline, gnu::cold]] inline void arith_fault(
+    const char* what) {
+  throw EvalError(what);
+}
+inline int64_t div_or_fault(int64_t a, int64_t b) {
+  if (const auto q = checked_div(a, b)) [[likely]]
+    return *q;
+  arith_fault(b == 0 ? "division by zero" : "integer overflow in division");
+}
+inline int64_t mod_or_fault(int64_t a, int64_t b) {
+  if (const auto r = checked_rem(a, b)) [[likely]]
+    return *r;
+  arith_fault("modulo by zero");
 }
 
-// Bytecode-engine entry points (vm.cpp).
+// Bytecode-engine entry point (vm.cpp).
 struct BcProgram;
-
-/// Per-run CC-skeleton table: one pre-encoded (kind, reduce-op) id per armed
-/// site, indexed by MpiSite::cc_slot. Depends on VerifierOptions, so it is
-/// built once per run rather than at compile time.
-[[nodiscard]] std::vector<int64_t> make_cc_skeletons(const BcProgram& bc,
-                                                     const rt::Verifier& v);
 
 /// Runs one rank's main() under the bytecode VM. Throws EvalError for user
 /// faults (the caller wraps them into rank aborts, like the AST engine).
 void run_rank_bytecode(SharedState& shared, const BcProgram& bc,
-                       const std::vector<int64_t>& cc_skeletons,
                        simmpi::Rank& rank, int32_t default_threads);
 
 } // namespace parcoach::interp

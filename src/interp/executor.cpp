@@ -3,6 +3,7 @@
 #include "interp/bc_ops.h"
 #include "interp/bytecode.h"
 #include "interp/exec_internal.h"
+#include "interp/mpi_ops.h"
 #include "miniomp/team.h"
 #include "support/metrics.h"
 #include "support/str.h"
@@ -50,8 +51,7 @@ private:
 };
 
 /// Per-thread execution state within one rank.
-struct ThreadState {
-  miniomp::ThreadContext* omp = nullptr;
+struct ThreadState : MpiThread {
   /// Worksharing-construct counter; identical across team threads in
   /// conforming programs, used as the construct-instance id.
   uint64_t construct_counter = 0;
@@ -66,7 +66,7 @@ struct ThreadState {
 class RankExec {
 public:
   RankExec(SharedState& shared, simmpi::Rank& rank)
-      : shared_(shared), rank_(rank) {}
+      : shared_(shared), rank_(rank), mpi_(shared, rank) {}
 
   void run_main() {
     const frontend::FuncDecl* main_fn = shared_.program->find("main");
@@ -84,22 +84,7 @@ public:
     ThreadState ts(shared_, rank_);
     ts.omp = &root;
     call_function(*main_fn, {}, ts);
-    if (shared_.plan && shared_.plan->cc_final_in_main) {
-      // Per-comm exit sentinels: every armed communicator this rank still
-      // holds gets a FINAL post (creation order, identical on all members
-      // since arming is per textual class), then world — blocking, as
-      // before — only when the world class itself is armed.
-      std::vector<int64_t> armed;
-      {
-        std::scoped_lock lk(armed_comms_mu_);
-        armed = armed_comms_;
-      }
-      for (int64_t handle : armed)
-        shared_.verifier->check_cc_final_piggybacked_on(rank_, handle,
-                                                        main_fn->loc);
-      if (shared_.plan->world_cc_armed())
-        shared_.verifier->check_cc_final_piggybacked(rank_, main_fn->loc);
-    }
+    mpi_.leave_main(main_fn->loc);
   }
 
 private:
@@ -116,7 +101,7 @@ private:
       }
       case Expr::Kind::Unary: {
         const int64_t v = eval(*e.kids[0], env, ts);
-        return e.un_op == ir::UnaryOp::Neg ? -v : (v == 0 ? 1 : 0);
+        return e.un_op == ir::UnaryOp::Neg ? wrap_neg(v) : (v == 0 ? 1 : 0);
       }
       case Expr::Kind::Binary: {
         // Short-circuit for && / ||.
@@ -127,15 +112,11 @@ private:
         const int64_t a = eval(*e.kids[0], env, ts);
         const int64_t b = eval(*e.kids[1], env, ts);
         switch (e.bin_op) {
-          case ir::BinaryOp::Add: return a + b;
-          case ir::BinaryOp::Sub: return a - b;
-          case ir::BinaryOp::Mul: return a * b;
-          case ir::BinaryOp::Div:
-            if (b == 0) throw EvalError("division by zero");
-            return a / b;
-          case ir::BinaryOp::Mod:
-            if (b == 0) throw EvalError("modulo by zero");
-            return a % b;
+          case ir::BinaryOp::Add: return wrap_add(a, b);
+          case ir::BinaryOp::Sub: return wrap_sub(a, b);
+          case ir::BinaryOp::Mul: return wrap_mul(a, b);
+          case ir::BinaryOp::Div: return div_or_fault(a, b);
+          case ir::BinaryOp::Mod: return mod_or_fault(a, b);
           case ir::BinaryOp::Lt: return a < b;
           case ir::BinaryOp::Le: return a <= b;
           case ir::BinaryOp::Gt: return a > b;
@@ -223,9 +204,6 @@ private:
         store_target(s, ret, env, ts);
         return std::nullopt;
       }
-      case StmtKind::MpiCall:
-        exec_mpi(s, env, ts);
-        return std::nullopt;
       case StmtKind::MpiSend: {
         const int64_t value = eval(*s.mpi_value, env, ts);
         const int32_t dest = static_cast<int32_t>(eval(*s.mpi_root, env, ts));
@@ -233,60 +211,13 @@ private:
         rank_.send(value, dest, tag);
         return std::nullopt;
       }
-      case StmtKind::MpiRecv: {
-        const int32_t src = static_cast<int32_t>(eval(*s.mpi_root, env, ts));
-        const int32_t tag = static_cast<int32_t>(eval(*s.hi, env, ts));
-        try {
-          store_target(s, rank_.recv(src, tag), env, ts);
-        } catch (const simmpi::RankFailedError& e) {
-          store_failure_status(s, e, env, ts);
-        } catch (const simmpi::RevokedError&) {
-          store_revoked_status(s, env, ts);
-        }
+      case StmtKind::MpiCall:
+      case StmtKind::MpiRecv:
+      case StmtKind::MpiWait:
+      case StmtKind::MpiTest:
+      case StmtKind::MpiWaitall:
+        exec_mpi(s, env, ts);
         return std::nullopt;
-      }
-      case StmtKind::MpiWait: {
-        const int64_t req = eval(*s.mpi_value, env, ts);
-        check_wait_thread_usage(s, ts);
-        try {
-          const auto out = rank_.wait_outcome(req);
-          if (!out.ok()) request_misuse(s.loc, out.error);
-          store_target(s, out.value, env, ts);
-        } catch (const simmpi::RankFailedError& e) {
-          store_failure_status(s, e, env, ts);
-        } catch (const simmpi::RevokedError&) {
-          store_revoked_status(s, env, ts);
-        }
-        return std::nullopt;
-      }
-      case StmtKind::MpiTest: {
-        const int64_t req = eval(*s.mpi_value, env, ts);
-        check_wait_thread_usage(s, ts);
-        try {
-          bool done = false;
-          const auto out = rank_.test_outcome(req, done);
-          if (!out.ok()) request_misuse(s.loc, out.error);
-          store_target(s, done ? 1 : 0, env, ts);
-        } catch (const simmpi::RankFailedError& e) {
-          store_failure_status(s, e, env, ts);
-        } catch (const simmpi::RevokedError&) {
-          store_revoked_status(s, env, ts);
-        }
-        return std::nullopt;
-      }
-      case StmtKind::MpiWaitall: {
-        // Request expressions are pure: evaluate them all first (the order
-        // the bytecode compiler emits), then check, then complete in order.
-        std::vector<int64_t> reqs;
-        reqs.reserve(s.args.size());
-        for (const auto& a : s.args) reqs.push_back(eval(*a, env, ts));
-        check_wait_thread_usage(s, ts);
-        for (const int64_t req : reqs) {
-          const auto out = rank_.wait_outcome(req);
-          if (!out.ok()) request_misuse(s.loc, out.error);
-        }
-        return std::nullopt;
-      }
       case StmtKind::OmpParallel:
         exec_parallel(s, env, ts);
         return std::nullopt;
@@ -389,213 +320,56 @@ private:
     c->v.store(value, std::memory_order_relaxed);
   }
 
-  /// Error-status delivery for `return`-mode failures (ULFM semantics): a
-  /// status form `var st = mpi_xxx(...)` absorbs the error as a negative
-  /// status; a statement with no target rethrows and the rank unwinds. The
-  /// dying rank itself always rethrows — its own crash is not a recoverable
-  /// peer failure. Only callable from a catch block (bare rethrow).
-  void store_failure_status(const Stmt& s, const simmpi::RankFailedError& e,
-                            Env& env, ThreadState& ts) {
-    if (e.dead_rank == rank_.rank() || s.name.empty()) throw;
-    store_target(s, simmpi::kMpiErrRankFailed, env, ts);
-  }
-
-  void store_revoked_status(const Stmt& s, Env& env, ThreadState& ts) {
-    if (s.name.empty()) throw;
-    store_target(s, simmpi::kMpiErrRevoked, env, ts);
-  }
-
-  /// MPI_Wait/Test are MPI calls: they fall under the same thread-level
-  /// usage rules as collectives (e.g. non-master wait under FUNNELED).
-  void check_wait_thread_usage(const Stmt& s, ThreadState& ts) {
-    if (!shared_.plan) return;
-    shared_.verifier->check_thread_usage(rank_, ts.omp->in_parallel(),
-                                         is_master_chain(ts.omp), s.loc);
-  }
-
-  /// Routes a request-discipline violation: through the verifier when checks
-  /// are planned (precise diagnostic + abort), as a plain runtime fault
-  /// otherwise (the uninstrumented behaviour).
-  [[noreturn]] void request_misuse(SourceLoc loc, const std::string& what) {
-    if (shared_.plan) shared_.verifier->report_request_misuse(rank_, loc, what);
-    throw EvalError(what);
-  }
-
+  /// Evaluates the statement's operands in its fixed order (the order the
+  /// bytecode compiler emits operand code), then hands them to the shared
+  /// MPI executor and stores its result.
   void exec_mpi(const Stmt& s, Env& env, ThreadState& ts) {
-    if (s.is_mpi_init) {
-      rank_.init(s.init_level);
-      return;
-    }
-    if (s.is_mpi_abort) {
-      const int64_t code = eval(*s.mpi_value, env, ts);
-      const std::string msg = mpi_abort_msg(rank_.rank(), code);
-      rank_.abort(msg);
-      throw simmpi::AbortedError(msg);
-    }
-    // Communicator management routes through the registry. Split/dup are
-    // collectives over the parent comm — the CC id (scoped by the parent's
-    // comm id) rides in their agreement round; free is local.
-    const bool mono = shared_.plan && shared_.plan->mono_stmts.count(s.stmt_id);
-    const bool cc = shared_.plan && shared_.plan->cc_stmts.count(s.stmt_id);
-    if (ir::is_comm_op(s.coll)) {
-      exec_comm_op(s, cc, mono, env, ts);
-      return;
-    }
-
-    // Operand expressions are pure, so they are evaluated *before* the
-    // planned checks — the same order the bytecode compiler emits (operand
-    // code precedes the collective instruction), keeping engine outcomes
-    // identical when an operand faults (e.g. a divide-by-zero root).
-    simmpi::Signature sig;
-    sig.kind = s.coll;
-    sig.root = s.mpi_root
-                   ? static_cast<int32_t>(eval(*s.mpi_root, env, ts))
-                   : -1;
-    sig.op = s.reduce_op;
-    const int64_t payload = s.mpi_value ? eval(*s.mpi_value, env, ts) : 0;
-    const int64_t comm_handle = s.mpi_comm ? eval(*s.mpi_comm, env, ts) : 0;
-
-    // Collective enter/exit span; the exit fires on exception unwind too,
-    // so every CollEnter in an exported trace has its matching CollExit.
-    TraceSpan span(
-        shared_.tracer, rank_.rank(),
-        trace_pack_coll(static_cast<int32_t>(s.coll),
-                        sig.op ? static_cast<int32_t>(*sig.op) + 1 : 0),
-        sig.root);
-
-    // Planned runtime checks, in paper order: occupancy first (validates the
-    // monothread assumption), then CC (validates sequence agreement), then
-    // the collective itself. The CC agreement is piggybacked: the id rides
-    // in the collective's own slot arrival (Signature::cc), so the check
-    // costs no dedicated synchronization round; a disagreement surfaces as
-    // CcMismatchError on exactly one thread, which produces the report.
-    // Nonblocking collectives are checked at *issue* time — that is where
-    // the slot is claimed, so that is where divergence must be stopped.
-    std::optional<rt::Verifier::MonoGuard> mono_guard;
-    if (mono)
-      mono_guard.emplace(*shared_.verifier, rank_, s.stmt_id, s.loc);
-    if (shared_.plan)
-      shared_.verifier->check_thread_usage(rank_, ts.omp->in_parallel(),
-                                           is_master_chain(ts.omp), s.loc);
-    if (s.coll == ir::CollectiveKind::Finalize && shared_.plan)
-      shared_.verifier->report_leaked_requests(
-          rank_, s.loc, rank_.requests().outstanding(rank_.rank()));
-    try {
-      // The comm operand: absent = MPI_COMM_WORLD via the registry-free
-      // fast path (the blocking hot path stays lock-light); present = ONE
-      // registry resolve covers the CC id and the execution.
-      if (!s.mpi_comm) {
-        if (cc) sig.cc = shared_.verifier->cc_lane_id(s.coll, sig.op, sig.root);
-        if (ir::is_nonblocking(s.coll)) {
-          store_target(s, rank_.istart(sig, payload), env, ts);
-          return;
+    MpiOperands o;
+    o.stmt = &s;
+    std::vector<int64_t> requests;
+    const auto opt = [&](const ir::ExprPtr& e, int64_t& out) {
+      if (e) out = eval(*e, env, ts);
+    };
+    switch (s.kind) {
+      case StmtKind::MpiRecv:
+        o.root = eval(*s.mpi_root, env, ts); // source
+        o.payload = eval(*s.hi, env, ts);    // tag
+        break;
+      case StmtKind::MpiWait:
+      case StmtKind::MpiTest:
+        o.payload = eval(*s.mpi_value, env, ts); // request
+        break;
+      case StmtKind::MpiWaitall:
+        requests.reserve(s.args.size());
+        for (const auto& a : s.args) requests.push_back(eval(*a, env, ts));
+        o.requests = requests;
+        break;
+      default:
+        if (s.is_mpi_init) break;
+        if (s.is_mpi_abort) {
+          o.payload = eval(*s.mpi_value, env, ts); // error code
+          break;
         }
-        const auto result = rank_.execute(sig, payload);
-        if (s.coll == ir::CollectiveKind::Finalize) return;
-        store_target(s, result.scalar, env, ts);
-        return;
-      }
-      const auto ref = rank_.comm_ref(comm_handle);
-      if (cc)
-        sig.cc = shared_.verifier->cc_lane_id(s.coll, sig.op, sig.root,
-                                              ref.comm->comm_id());
-      if (ir::is_nonblocking(s.coll)) {
-        store_target(s, rank_.istart_on(ref, sig, payload), env, ts);
-        return;
-      }
-      store_target(s, rank_.execute_on(ref, sig, payload).scalar, env, ts);
-    } catch (const simmpi::CcMismatchError& e) {
-      shared_.verifier->report_cc_mismatch(rank_, s.coll, s.loc, e);
-    } catch (const simmpi::RankFailedError& e) {
-      store_failure_status(s, e, env, ts);
-    } catch (const simmpi::RevokedError&) {
-      store_revoked_status(s, env, ts);
+        if (shared_.plan) {
+          o.armed = shared_.plan->cc_stmts.count(s.stmt_id) > 0;
+          o.mono = shared_.plan->mono_stmts.count(s.stmt_id) > 0;
+        }
+        if (ir::is_comm_op(s.coll)) {
+          // Parent comm, then color and key (split) or the scalar operand
+          // (agree flag, errhandler mode).
+          opt(s.mpi_comm, o.comm);
+          opt(s.mpi_value, o.payload);
+          opt(s.mpi_root, o.root);
+          o.child_armed =
+              shared_.plan && shared_.plan->cc_classes.count(s.name) > 0;
+        } else {
+          opt(s.mpi_root, o.root);
+          opt(s.mpi_value, o.payload);
+          opt(s.mpi_comm, o.comm);
+        }
+        break;
     }
-  }
-
-  /// mpi_comm_split / mpi_comm_dup / mpi_comm_free. Operand expressions are
-  /// evaluated before the planned checks, like everywhere else (the bytecode
-  /// compiler's operand order: parent comm, then color, then key).
-  void exec_comm_op(const Stmt& s, bool cc, bool mono, Env& env,
-                    ThreadState& ts) {
-    const int64_t parent =
-        s.mpi_comm ? eval(*s.mpi_comm, env, ts) : simmpi::Rank::kCommWorld;
-    const int64_t color = s.coll == ir::CollectiveKind::CommSplit
-                              ? eval(*s.mpi_value, env, ts)
-                              : 0;
-    const int64_t key = s.coll == ir::CollectiveKind::CommSplit
-                            ? eval(*s.mpi_root, env, ts)
-                            : 0;
-    const int64_t payload = (s.coll == ir::CollectiveKind::CommAgree ||
-                             s.coll == ir::CollectiveKind::CommSetErrhandler)
-                                ? eval(*s.mpi_value, env, ts)
-                                : 0;
-    TraceSpan span(shared_.tracer, rank_.rank(),
-                   trace_pack_coll(static_cast<int32_t>(s.coll), 0), -1);
-    std::optional<rt::Verifier::MonoGuard> mono_guard;
-    if (mono)
-      mono_guard.emplace(*shared_.verifier, rank_, s.stmt_id, s.loc);
-    if (shared_.plan)
-      shared_.verifier->check_thread_usage(rank_, ts.omp->in_parallel(),
-                                           is_master_chain(ts.omp), s.loc);
-    if (s.coll == ir::CollectiveKind::CommFree) {
-      rank_.comm_free(parent);
-      std::scoped_lock lk(armed_comms_mu_);
-      armed_comms_.erase(
-          std::remove(armed_comms_.begin(), armed_comms_.end(), parent),
-          armed_comms_.end());
-      return;
-    }
-    // Local (unmatched) recovery ops: set_errhandler configures, revoke
-    // poisons asynchronously. Neither synchronizes, so the ULFM idiom
-    // `if (rank == 0) mpi_comm_revoke(c)` is legal rank-guarded.
-    if (s.coll == ir::CollectiveKind::CommSetErrhandler) {
-      rank_.comm_set_errhandler(parent, payload != 0
-                                            ? simmpi::Errhandler::Return
-                                            : simmpi::Errhandler::Abort);
-      return;
-    }
-    if (s.coll == ir::CollectiveKind::CommRevoke) {
-      rank_.comm_revoke(parent);
-      return;
-    }
-    int64_t cc_id = simmpi::kCcNone;
-    if (cc)
-      cc_id = shared_.verifier->cc_lane_id(
-          s.coll, std::nullopt, -1, s.mpi_comm ? rank_.comm_id_of(parent) : 0);
-    // The result handle's comm class is the textual result variable (sema
-    // forbids comm aliasing, so every collective on the child spells this
-    // name). Unarmed classes get children without a CC lane — the true
-    // zero-overhead path — and are excluded from the exit sentinel.
-    const bool child_armed =
-        shared_.plan && shared_.plan->cc_classes.count(s.name) > 0;
-    try {
-      if (s.coll == ir::CollectiveKind::CommAgree) {
-        // Fault-tolerant AND-reduction: completes despite failed members
-        // (and on revoked communicators) — the agreed flag is the result.
-        store_target(s, rank_.comm_agree(parent, payload, cc_id), env, ts);
-        return;
-      }
-      int64_t handle = 0;
-      if (s.coll == ir::CollectiveKind::CommSplit) {
-        handle = rank_.comm_split(parent, color, key, cc_id, child_armed);
-      } else if (s.coll == ir::CollectiveKind::CommShrink) {
-        handle = rank_.comm_shrink(parent, cc_id, child_armed);
-      } else {
-        handle = rank_.comm_dup(parent, cc_id, child_armed);
-      }
-      if (child_armed && handle != simmpi::CommRegistry::kNull) {
-        std::scoped_lock lk(armed_comms_mu_);
-        armed_comms_.push_back(handle);
-      }
-      store_target(s, handle, env, ts);
-    } catch (const simmpi::CcMismatchError& e) {
-      shared_.verifier->report_cc_mismatch(rank_, s.coll, s.loc, e);
-    } catch (const simmpi::RankFailedError& e) {
-      store_failure_status(s, e, env, ts);
-    } catch (const simmpi::RevokedError&) {
-      store_revoked_status(s, env, ts);
-    }
+    if (const auto v = mpi_.exec(o, ts)) store_target(s, *v, env, ts);
   }
 
   int64_t call_function(const frontend::FuncDecl& fn,
@@ -615,11 +389,7 @@ public:
 private:
   SharedState& shared_;
   simmpi::Rank& rank_;
-  /// Live handles of communicators created at armed-class split/dup sites
-  /// (the per-comm exit sentinel targets). Threads of one rank share this
-  /// under MPI_THREAD_MULTIPLE.
-  std::mutex armed_comms_mu_;
-  std::vector<int64_t> armed_comms_;
+  MpiOps mpi_;
 };
 
 } // namespace
@@ -640,9 +410,7 @@ ExecResult Executor::run(const ExecOptions& opts) {
   wopts.tracer = opts.tracer;
   wopts.metrics = opts.metrics;
   simmpi::World world(wopts);
-  rt::VerifierOptions vopts = opts.verify;
-  vopts.tracer = opts.tracer;
-  rt::Verifier verifier(sm_, vopts, opts.num_ranks);
+  rt::Verifier verifier(sm_, opts.verify);
 
   SharedState shared;
   shared.program = &program_;
@@ -660,12 +428,10 @@ ExecResult Executor::run(const ExecOptions& opts) {
 
   if (opts.engine == Engine::Bytecode) {
     // Compile once per run: the bytecode bakes in the plan's arming
-    // decisions, and the per-run skeleton table bakes in VerifierOptions.
-    // The optimization passes (fusion / quickening / regalloc) rewrite the
-    // baseline encoding in place; opts.passes can disable any of them.
+    // decisions. The optimization passes (fusion / regalloc) rewrite the
+    // baseline encoding in place; opts.passes can disable either.
     BcProgram bc = interp::compile(program_, sm_, plan_);
     run_passes(bc, opts.passes);
-    const std::vector<int64_t> skeletons = make_cc_skeletons(bc, verifier);
     std::vector<std::atomic<uint64_t>> opmix;
     if (opts.opmix && opts.metrics) {
       opmix = std::vector<std::atomic<uint64_t>>(kNumOps);
@@ -673,7 +439,7 @@ ExecResult Executor::run(const ExecOptions& opts) {
     }
     result.mpi = world.run([&](simmpi::Rank& rank) {
       try {
-        run_rank_bytecode(shared, bc, skeletons, rank, opts.num_threads);
+        run_rank_bytecode(shared, bc, rank, opts.num_threads);
       } catch (const EvalError& e) {
         rank.abort(str::cat("rank ", rank.rank(), ": ", e.what()));
         throw;

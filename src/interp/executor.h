@@ -29,9 +29,10 @@
 namespace parcoach::interp {
 
 /// Which execution engine runs the program. Bytecode is the default (the
-/// fast path: pre-resolved frame slots, baked arming decisions, pre-encoded
-/// CC skeletons, cached CommRefs); the AST tree-walker survives as the
-/// differential-testing oracle and reference semantics.
+/// fast path: pre-resolved frame slots, baked arming decisions, fused
+/// superinstructions); the AST tree-walker survives as the differential-
+/// testing oracle and reference semantics. Both run MPI statements through
+/// the same executor (mpi_ops.h).
 enum class Engine : uint8_t { Ast, Bytecode };
 
 [[nodiscard]] constexpr std::string_view to_string(Engine e) noexcept {

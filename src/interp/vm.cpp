@@ -1,13 +1,14 @@
 // The bytecode VM: executes interp::BcProgram (see bytecode.h for what the
-// compiler pre-resolved). Semantics mirror the AST tree-walker in
-// executor.cpp statement for statement — the corpus-wide differential test
-// (BytecodeMatchesAstOutcome) holds the two engines to byte-identical
-// diagnostics, deadlock details and program output.
+// compiler pre-resolved). Expression and control-flow semantics match the
+// AST tree-walker in executor.cpp statement for statement, and every MPI
+// statement goes through the executor both engines share (mpi_ops.h) — the
+// corpus-wide differential test (BytecodeMatchesAstOutcome) holds the two
+// engines to byte-identical diagnostics, deadlock details and program
+// output.
 #include "interp/bytecode.h"
 #include "interp/exec_internal.h"
-#include "support/trace.h"
+#include "interp/mpi_ops.h"
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -45,33 +46,18 @@ struct Frame {
         regs(parent.regs.size(), 0) {}
 };
 
-/// One entry of the per-thread CommRef cache: a resolved communicator stays
-/// valid while the handle value matches and no mpi_comm_free ran on this
-/// rank since (the epoch), so steady-state collectives on a sub-communicator
-/// cost one thread-local compare plus one relaxed atomic load instead of a
-/// registry lookup.
-struct CommCacheEntry {
-  int64_t handle = 0;
-  uint64_t epoch = 0;
-  bool valid = false;
-  simmpi::Rank::CommRef ref;
-};
-
 /// Per-thread execution state within one rank.
-struct VmThread {
-  miniomp::ThreadContext* omp = nullptr;
+struct VmThread : MpiThread {
   /// Worksharing-construct counter; identical across team threads in
   /// conforming programs, used as the construct-instance id.
   uint64_t construct_counter = 0;
   StepCounter steps;
-  std::vector<CommCacheEntry> comm_cache;
   /// Opcode-mix profiling (null = off): plain per-thread counters, flushed
   /// into SharedState::opmix_table when the thread retires.
   uint64_t* opmix = nullptr;
 
-  VmThread(SharedState& shared, simmpi::Rank& rank, int32_t num_caches)
-      : steps(shared, rank),
-        comm_cache(static_cast<size_t>(num_caches)), shared_(&shared) {
+  VmThread(SharedState& shared, simmpi::Rank& rank)
+      : steps(shared, rank), shared_(&shared) {
     if (shared.opmix_table) {
       opmix_local_ = std::make_unique<uint64_t[]>(kNumOps); // value-initialized
       opmix = opmix_local_.get();
@@ -93,10 +79,9 @@ private:
 
 class VmRank {
 public:
-  VmRank(SharedState& shared, const BcProgram& bc,
-         const std::vector<int64_t>& skeletons, simmpi::Rank& rank,
+  VmRank(SharedState& shared, const BcProgram& bc, simmpi::Rank& rank,
          int32_t default_threads)
-      : shared_(shared), bc_(bc), skeletons_(skeletons), rank_(rank),
+      : shared_(shared), bc_(bc), rank_(rank), mpi_(shared, rank),
         default_threads_(default_threads) {}
 
   void run_main() {
@@ -112,22 +97,10 @@ public:
     }
     miniomp::ThreadContext root;   // serial context (no team)
     root.domain = &domain;
-    VmThread ts(shared_, rank_, bc_.num_comm_caches);
+    VmThread ts(shared_, rank_);
     ts.omp = &root;
     call(main_fn, {}, ts);
-    if (bc_.cc_final_in_main) {
-      // Per-comm exit sentinels, then world — identical to the AST engine.
-      std::vector<int64_t> armed;
-      {
-        std::scoped_lock lk(armed_comms_mu_);
-        armed = armed_comms_;
-      }
-      for (int64_t handle : armed)
-        shared_.verifier->check_cc_final_piggybacked_on(rank_, handle,
-                                                        main_fn.decl->loc);
-      if (shared_.plan->world_cc_armed())
-        shared_.verifier->check_cc_final_piggybacked(rank_, main_fn.decl->loc);
-    }
+    mpi_.leave_main(main_fn.decl->loc);
   }
 
 private:
@@ -242,16 +215,14 @@ private:
           slots[I.a] = &f.storage[static_cast<size_t>(I.a)];
           slots[I.a]->v.store(0, std::memory_order_relaxed);
           break;
-        case Op::Neg: regs[I.a] = -regs[I.b]; break;
+        case Op::Neg: regs[I.a] = wrap_neg(regs[I.b]); break;
         case Op::Not: regs[I.a] = regs[I.b] == 0 ? 1 : 0; break;
         case Op::Bool: regs[I.a] = regs[I.b] != 0 ? 1 : 0; break;
-        PARCOACH_BINOP_CASES(Add, x + y)
-        PARCOACH_BINOP_CASES(Sub, x - y)
-        PARCOACH_BINOP_CASES(Mul, x * y)
-        PARCOACH_BINOP_CASES(
-            Div, y == 0 ? throw EvalError("division by zero") : x / y)
-        PARCOACH_BINOP_CASES(
-            Mod, y == 0 ? throw EvalError("modulo by zero") : x % y)
+        PARCOACH_BINOP_CASES(Add, wrap_add(x, y))
+        PARCOACH_BINOP_CASES(Sub, wrap_sub(x, y))
+        PARCOACH_BINOP_CASES(Mul, wrap_mul(x, y))
+        PARCOACH_BINOP_CASES(Div, div_or_fault(x, y))
+        PARCOACH_BINOP_CASES(Mod, mod_or_fault(x, y))
         PARCOACH_BINOP_CASES(Lt, x < y ? 1 : 0)
         PARCOACH_BINOP_CASES(Le, x <= y ? 1 : 0)
         PARCOACH_BINOP_CASES(Gt, x > y ? 1 : 0)
@@ -337,66 +308,17 @@ private:
             store_slot(f, cs.target_slot, cs.declares_target, ret);
           break;
         }
-        case Op::MpiColl:
-          exec_mpi(bc_.mpi_sites[static_cast<size_t>(I.a)], f, ts);
-          break;
-        // Quickened collectives (run_passes): the site's flavor — world vs
-        // registry comm, armed vs unarmed, blocking vs nonblocking — was
-        // decided at compile time, so the handler stops re-branching on it.
-        case Op::MpiCollWU:
-          exec_mpi_quick<false, false, false>(
-              bc_.mpi_sites[static_cast<size_t>(I.a)], f, ts);
-          break;
-        case Op::MpiCollWA:
-          exec_mpi_quick<true, false, false>(
-              bc_.mpi_sites[static_cast<size_t>(I.a)], f, ts);
-          break;
-        case Op::MpiCollCU:
-          exec_mpi_quick<false, true, false>(
-              bc_.mpi_sites[static_cast<size_t>(I.a)], f, ts);
-          break;
-        case Op::MpiCollCA:
-          exec_mpi_quick<true, true, false>(
-              bc_.mpi_sites[static_cast<size_t>(I.a)], f, ts);
-          break;
-        case Op::MpiICollWU:
-          exec_mpi_quick<false, false, true>(
-              bc_.mpi_sites[static_cast<size_t>(I.a)], f, ts);
-          break;
-        case Op::MpiICollWA:
-          exec_mpi_quick<true, false, true>(
-              bc_.mpi_sites[static_cast<size_t>(I.a)], f, ts);
-          break;
-        case Op::MpiICollCU:
-          exec_mpi_quick<false, true, true>(
-              bc_.mpi_sites[static_cast<size_t>(I.a)], f, ts);
-          break;
-        case Op::MpiICollCA:
-          exec_mpi_quick<true, true, true>(
-              bc_.mpi_sites[static_cast<size_t>(I.a)], f, ts);
-          break;
         case Op::MpiSend:
           rank_.send(regs[I.a], static_cast<int32_t>(regs[I.b]),
                      static_cast<int32_t>(regs[I.c]));
           break;
+        case Op::MpiColl:
         case Op::MpiRecv:
-          exec_recv_guarded(bc_.mpi_sites[static_cast<size_t>(I.a)], f);
-          break;
         case Op::MpiWait:
-          exec_wait_guarded(bc_.mpi_sites[static_cast<size_t>(I.a)], f, ts);
-          break;
         case Op::MpiTest:
-          exec_test_guarded(bc_.mpi_sites[static_cast<size_t>(I.a)], f, ts);
+        case Op::MpiWaitall:
+          exec_mpi(bc_.mpi_sites[static_cast<size_t>(I.a)], f, ts);
           break;
-        case Op::MpiWaitall: {
-          const MpiSite& st = bc_.mpi_sites[static_cast<size_t>(I.a)];
-          check_wait_thread_usage(st, ts);
-          for (int32_t r : bc_.reg_lists[static_cast<size_t>(st.list)]) {
-            const auto out = rank_.wait_outcome(regs[r]);
-            if (!out.ok()) request_misuse(st.stmt->loc, out.error);
-          }
-          break;
-        }
         case Op::Par: {
           const OmpSite& st = bc_.omp_sites[static_cast<size_t>(I.a)];
           int32_t n = default_threads_;
@@ -407,7 +329,7 @@ private:
           const bool if_clause = st.if_reg < 0 || regs[st.if_reg] != 0;
           miniomp::Runtime::parallel(
               *ts.omp, n, if_clause, [&](miniomp::ThreadContext& child) {
-                VmThread cts(shared_, rank_, bc_.num_comm_caches);
+                VmThread cts(shared_, rank_);
                 cts.omp = &child;
                 Frame view(f, Frame::TeamView{});
                 exec_no_return(view, cts, st.body);
@@ -500,328 +422,42 @@ private:
                                                 std::memory_order_relaxed);
   }
 
-  void store_target(const MpiSite& st, int64_t value, Frame& f) {
-    if (st.target_slot < 0) return;
-    store_slot(f, st.target_slot, st.declares_target, value);
-  }
-
-  /// Error-status delivery for `return`-mode failures (ULFM semantics),
-  /// mirroring the tree-walker byte for byte: a status form stores a
-  /// negative status; no target (or the dying rank itself) rethrows and the
-  /// rank unwinds. Only callable from a catch block (bare rethrow).
-  void store_failure_status(const MpiSite& st, const simmpi::RankFailedError& e,
-                            Frame& f) {
-    if (e.dead_rank == rank_.rank() || st.target_slot < 0) throw;
-    store_target(st, simmpi::kMpiErrRankFailed, f);
-  }
-
-  void store_revoked_status(const MpiSite& st, Frame& f) {
-    if (st.target_slot < 0) throw;
-    store_target(st, simmpi::kMpiErrRevoked, f);
-  }
-
-  // The p2p/request status-form handlers live out of line on purpose: their
-  // catch blocks are the only landing pads otherwise reachable from the
-  // dispatch loop, and EH regions inside the loop function cost the hot
-  // interpreter path real register pressure.
-  [[gnu::noinline]] void exec_recv_guarded(const MpiSite& st, Frame& f) {
-    const auto src = static_cast<int32_t>(f.regs[st.root_reg]);
-    const auto tag = static_cast<int32_t>(f.regs[st.payload_reg]);
-    try {
-      store_target(st, rank_.recv(src, tag), f);
-    } catch (const simmpi::RankFailedError& e) {
-      store_failure_status(st, e, f);
-    } catch (const simmpi::RevokedError&) {
-      store_revoked_status(st, f);
+  /// Hands the site's evaluated operand registers to the shared MPI
+  /// executor and stores its result. Out of line, like MpiOps::exec, so no
+  /// landing pad (the waitall buffer's cleanup) lands in the dispatch loop.
+  [[gnu::noinline]] void exec_mpi(const MpiSite& st, Frame& f, VmThread& ts) {
+    const int64_t* regs = f.regs.data();
+    MpiOperands o;
+    o.stmt = st.stmt;
+    if (st.root_reg >= 0) o.root = regs[st.root_reg];
+    if (st.payload_reg >= 0) o.payload = regs[st.payload_reg];
+    if (st.comm_reg >= 0) o.comm = regs[st.comm_reg];
+    std::vector<int64_t> requests;
+    if (st.list >= 0) {
+      for (const int32_t r : bc_.reg_lists[static_cast<size_t>(st.list)])
+        requests.push_back(regs[r]);
+      o.requests = requests;
     }
-  }
-
-  [[gnu::noinline]] void exec_wait_guarded(const MpiSite& st, Frame& f,
-                                           VmThread& ts) {
-    const int64_t req = f.regs[st.payload_reg];
-    check_wait_thread_usage(st, ts);
-    try {
-      const auto out = rank_.wait_outcome(req);
-      if (!out.ok()) request_misuse(st.stmt->loc, out.error);
-      store_target(st, out.value, f);
-    } catch (const simmpi::RankFailedError& e) {
-      store_failure_status(st, e, f);
-    } catch (const simmpi::RevokedError&) {
-      store_revoked_status(st, f);
-    }
-  }
-
-  [[gnu::noinline]] void exec_test_guarded(const MpiSite& st, Frame& f,
-                                           VmThread& ts) {
-    const int64_t req = f.regs[st.payload_reg];
-    check_wait_thread_usage(st, ts);
-    try {
-      bool done = false;
-      const auto out = rank_.test_outcome(req, done);
-      if (!out.ok()) request_misuse(st.stmt->loc, out.error);
-      store_target(st, done ? 1 : 0, f);
-    } catch (const simmpi::RankFailedError& e) {
-      store_failure_status(st, e, f);
-    } catch (const simmpi::RevokedError&) {
-      store_revoked_status(st, f);
-    }
-  }
-
-  /// MPI_Wait/Test are MPI calls: same thread-level usage rules as
-  /// collectives (e.g. non-master wait under FUNNELED).
-  void check_wait_thread_usage(const MpiSite& st, VmThread& ts) {
-    if (!bc_.instrumented) return;
-    shared_.verifier->check_thread_usage(rank_, ts.omp->in_parallel(),
-                                         is_master_chain(ts.omp),
-                                         st.stmt->loc);
-  }
-
-  [[noreturn]] void request_misuse(SourceLoc loc, const std::string& what) {
-    if (bc_.instrumented)
-      shared_.verifier->report_request_misuse(rank_, loc, what);
-    throw EvalError(what);
-  }
-
-  /// Cached communicator resolution: one registry lookup per acquisition,
-  /// then thread-local hits until the handle changes or a comm_free on this
-  /// rank bumps the epoch.
-  simmpi::Rank::CommRef resolve_comm(const MpiSite& st, int64_t handle,
-                                     VmThread& ts) {
-    CommCacheEntry& e = ts.comm_cache[static_cast<size_t>(st.comm_cache)];
-    const uint64_t epoch = comm_epoch_.load(std::memory_order_acquire);
-    if (e.valid && e.handle == handle && e.epoch == epoch) return e.ref;
-    e.ref = rank_.comm_ref(handle); // throws UsageError on bad handles
-    e.handle = handle;
-    e.epoch = epoch;
-    e.valid = true;
-    return e.ref;
-  }
-
-  void exec_mpi(const MpiSite& st, Frame& f, VmThread& ts) {
-    const Stmt& s = *st.stmt;
-    if (s.is_mpi_init) {
-      rank_.init(s.init_level);
-      return;
-    }
-    if (s.is_mpi_abort) {
-      const std::string msg =
-          mpi_abort_msg(rank_.rank(), f.regs[st.payload_reg]);
-      rank_.abort(msg);
-      throw simmpi::AbortedError(msg);
-    }
-    // Planned runtime checks in paper order — occupancy, thread usage, CC —
-    // with the plan membership decided at compile time (st.mono/st.armed).
-    std::optional<rt::Verifier::MonoGuard> mono_guard;
-    if (st.mono)
-      mono_guard.emplace(*shared_.verifier, rank_, s.stmt_id, s.loc);
-    if (bc_.instrumented)
-      shared_.verifier->check_thread_usage(rank_, ts.omp->in_parallel(),
-                                           is_master_chain(ts.omp), s.loc);
-
-    if (ir::is_comm_op(s.coll)) {
-      exec_comm_op(st, f, ts);
-      return;
-    }
-
-    int64_t* regs = f.regs.data();
-    simmpi::Signature sig;
-    sig.kind = s.coll;
-    sig.root =
-        st.root_reg >= 0 ? static_cast<int32_t>(regs[st.root_reg]) : -1;
-    sig.op = s.reduce_op;
-    // Collective enter/exit span; the exit fires on exception unwind too.
-    TraceSpan span(
-        shared_.tracer, rank_.rank(),
-        trace_pack_coll(static_cast<int32_t>(s.coll),
-                        sig.op ? static_cast<int32_t>(*sig.op) + 1 : 0),
-        sig.root);
-    if (s.coll == ir::CollectiveKind::Finalize && bc_.instrumented)
-      shared_.verifier->report_leaked_requests(
-          rank_, s.loc, rank_.requests().outstanding(rank_.rank()));
-    const int64_t payload = st.payload_reg >= 0 ? regs[st.payload_reg] : 0;
-    try {
-      if (st.comm_reg < 0) {
-        // MPI_COMM_WORLD fast path; armed sites patch root into the
-        // pre-encoded skeleton (comm id 0).
-        if (st.armed)
-          sig.cc = shared_.verifier->cc_patch(
-              skeletons_[static_cast<size_t>(st.cc_slot)], sig.root, 0);
-        if (ir::is_nonblocking(s.coll)) {
-          store_target(st, rank_.istart(sig, payload), f);
-          return;
-        }
-        const auto result = rank_.execute(sig, payload);
-        if (s.coll == ir::CollectiveKind::Finalize) return;
-        store_target(st, result.scalar, f);
-        return;
-      }
-      const auto ref = resolve_comm(st, regs[st.comm_reg], ts);
-      if (st.armed)
-        sig.cc = shared_.verifier->cc_patch(
-            skeletons_[static_cast<size_t>(st.cc_slot)], sig.root,
-            ref.comm->comm_id());
-      if (ir::is_nonblocking(s.coll)) {
-        store_target(st, rank_.istart_on(ref, sig, payload), f);
-        return;
-      }
-      store_target(st, rank_.execute_on(ref, sig, payload).scalar, f);
-    } catch (const simmpi::CcMismatchError& e) {
-      shared_.verifier->report_cc_mismatch(rank_, s.coll, s.loc, e);
-    } catch (const simmpi::RankFailedError& e) {
-      store_failure_status(st, e, f);
-    } catch (const simmpi::RevokedError&) {
-      store_revoked_status(st, f);
-    }
-  }
-
-  /// Quickened collective handler: exec_mpi with the site flavor fixed as
-  /// template parameters. Only sites with none of the cold-path semantics
-  /// (init/abort, comm management, Finalize, mono occupancy guard) are
-  /// rewritten to these opcodes — see quicken_function in bc_passes.cpp.
-  template <bool kArmed, bool kComm, bool kNb>
-  void exec_mpi_quick(const MpiSite& st, Frame& f, VmThread& ts) {
-    const Stmt& s = *st.stmt;
-    if (bc_.instrumented)
-      shared_.verifier->check_thread_usage(rank_, ts.omp->in_parallel(),
-                                           is_master_chain(ts.omp), s.loc);
-    int64_t* regs = f.regs.data();
-    simmpi::Signature sig;
-    sig.kind = s.coll;
-    sig.root =
-        st.root_reg >= 0 ? static_cast<int32_t>(regs[st.root_reg]) : -1;
-    sig.op = s.reduce_op;
-    TraceSpan span(
-        shared_.tracer, rank_.rank(),
-        trace_pack_coll(static_cast<int32_t>(s.coll),
-                        sig.op ? static_cast<int32_t>(*sig.op) + 1 : 0),
-        sig.root);
-    const int64_t payload = st.payload_reg >= 0 ? regs[st.payload_reg] : 0;
-    try {
-      if constexpr (!kComm) {
-        if constexpr (kArmed)
-          sig.cc = shared_.verifier->cc_patch(
-              skeletons_[static_cast<size_t>(st.cc_slot)], sig.root, 0);
-        if constexpr (kNb)
-          store_target(st, rank_.istart(sig, payload), f);
-        else
-          store_target(st, rank_.execute(sig, payload).scalar, f);
-      } else {
-        const auto ref = resolve_comm(st, regs[st.comm_reg], ts);
-        if constexpr (kArmed)
-          sig.cc = shared_.verifier->cc_patch(
-              skeletons_[static_cast<size_t>(st.cc_slot)], sig.root,
-              ref.comm->comm_id());
-        if constexpr (kNb)
-          store_target(st, rank_.istart_on(ref, sig, payload), f);
-        else
-          store_target(st, rank_.execute_on(ref, sig, payload).scalar, f);
-      }
-    } catch (const simmpi::CcMismatchError& e) {
-      shared_.verifier->report_cc_mismatch(rank_, s.coll, s.loc, e);
-    } catch (const simmpi::RankFailedError& e) {
-      store_failure_status(st, e, f);
-    } catch (const simmpi::RevokedError&) {
-      store_revoked_status(st, f);
-    }
-  }
-
-  /// mpi_comm_split / mpi_comm_dup / mpi_comm_free.
-  void exec_comm_op(const MpiSite& st, Frame& f, VmThread& ts) {
-    const Stmt& s = *st.stmt;
-    int64_t* regs = f.regs.data();
-    const int64_t parent =
-        st.comm_reg >= 0 ? regs[st.comm_reg] : simmpi::Rank::kCommWorld;
-    TraceSpan span(shared_.tracer, rank_.rank(),
-                   trace_pack_coll(static_cast<int32_t>(s.coll), 0), -1);
-    if (s.coll == ir::CollectiveKind::CommFree) {
-      rank_.comm_free(parent);
-      // Invalidate every thread's CommRef cache for this rank: handles are
-      // never reused, so a stale hit would bypass the use-after-free check.
-      comm_epoch_.fetch_add(1, std::memory_order_release);
-      std::scoped_lock lk(armed_comms_mu_);
-      armed_comms_.erase(
-          std::remove(armed_comms_.begin(), armed_comms_.end(), parent),
-          armed_comms_.end());
-      return;
-    }
-    // Local (unmatched) recovery ops — no epoch bump: the handle stays
-    // valid, and shrink/agree still resolve revoked comms.
-    if (s.coll == ir::CollectiveKind::CommSetErrhandler) {
-      rank_.comm_set_errhandler(parent,
-                                regs[st.payload_reg] != 0
-                                    ? simmpi::Errhandler::Return
-                                    : simmpi::Errhandler::Abort);
-      return;
-    }
-    if (s.coll == ir::CollectiveKind::CommRevoke) {
-      rank_.comm_revoke(parent);
-      return;
-    }
-    int64_t cc_id = simmpi::kCcNone;
-    if (st.armed)
-      cc_id = shared_.verifier->cc_patch(
-          skeletons_[static_cast<size_t>(st.cc_slot)], -1,
-          st.comm_reg >= 0 ? rank_.comm_id_of(parent) : 0);
-    try {
-      if (s.coll == ir::CollectiveKind::CommAgree) {
-        store_target(st, rank_.comm_agree(parent, regs[st.payload_reg], cc_id),
-                     f);
-        return;
-      }
-      int64_t handle = 0;
-      if (s.coll == ir::CollectiveKind::CommSplit) {
-        const int64_t color = regs[st.payload_reg];
-        const int64_t key = regs[st.root_reg];
-        handle = rank_.comm_split(parent, color, key, cc_id, st.child_armed);
-      } else if (s.coll == ir::CollectiveKind::CommShrink) {
-        handle = rank_.comm_shrink(parent, cc_id, st.child_armed);
-      } else {
-        handle = rank_.comm_dup(parent, cc_id, st.child_armed);
-      }
-      if (st.child_armed && handle != simmpi::CommRegistry::kNull) {
-        std::scoped_lock lk(armed_comms_mu_);
-        armed_comms_.push_back(handle);
-      }
-      store_target(st, handle, f);
-    } catch (const simmpi::CcMismatchError& e) {
-      shared_.verifier->report_cc_mismatch(rank_, s.coll, s.loc, e);
-    } catch (const simmpi::RankFailedError& e) {
-      store_failure_status(st, e, f);
-    } catch (const simmpi::RevokedError&) {
-      store_revoked_status(st, f);
-    }
-    (void)ts;
+    o.armed = st.armed;
+    o.mono = st.mono;
+    o.child_armed = st.child_armed;
+    const auto v = mpi_.exec(o, ts);
+    if (v && st.target_slot >= 0)
+      store_slot(f, st.target_slot, st.declares_target, *v);
   }
 
   SharedState& shared_;
   const BcProgram& bc_;
-  const std::vector<int64_t>& skeletons_;
   simmpi::Rank& rank_;
+  MpiOps mpi_;
   int32_t default_threads_;
-  /// Bumped by every mpi_comm_free on this rank; invalidates CommRef caches.
-  std::atomic<uint64_t> comm_epoch_{0};
-  /// Live handles of communicators created at armed-class split/dup sites
-  /// (the per-comm exit sentinel targets). Threads of one rank share this
-  /// under MPI_THREAD_MULTIPLE.
-  std::mutex armed_comms_mu_;
-  std::vector<int64_t> armed_comms_;
 };
 
 } // namespace
 
-std::vector<int64_t> make_cc_skeletons(const BcProgram& bc,
-                                       const rt::Verifier& v) {
-  std::vector<int64_t> out;
-  out.reserve(bc.cc_sites.size());
-  for (const CcSiteInfo& info : bc.cc_sites)
-    out.push_back(v.cc_skeleton(info.kind, info.op));
-  return out;
-}
-
 void run_rank_bytecode(SharedState& shared, const BcProgram& bc,
-                       const std::vector<int64_t>& cc_skeletons,
                        simmpi::Rank& rank, int32_t default_threads) {
-  VmRank vm(shared, bc, cc_skeletons, rank, default_threads);
+  VmRank vm(shared, bc, rank, default_threads);
   vm.run_main();
 }
 

@@ -3,6 +3,7 @@
 #include "passes/pass_manager.h"
 
 #include "ir/expr.h"
+#include "support/wrap_int.h"
 
 namespace parcoach::passes {
 
@@ -15,19 +16,16 @@ using ir::UnaryOp;
 
 bool is_lit(const Expr& e) { return e.kind == Expr::Kind::IntLit; }
 
-/// Applies `op` to constants. Division/modulo by zero is left unfolded (the
-/// interpreter reports it as a runtime fault instead).
+/// Applies `op` to constants with the interpreter's arithmetic
+/// (support/wrap_int.h). Division/modulo by zero and INT64_MIN / -1 are left
+/// unfolded: the interpreter reports them as runtime faults instead.
 std::optional<int64_t> eval_bin(BinaryOp op, int64_t a, int64_t b) {
   switch (op) {
-    case BinaryOp::Add: return a + b;
-    case BinaryOp::Sub: return a - b;
-    case BinaryOp::Mul: return a * b;
-    case BinaryOp::Div:
-      if (b == 0) return std::nullopt;
-      return a / b;
-    case BinaryOp::Mod:
-      if (b == 0) return std::nullopt;
-      return a % b;
+    case BinaryOp::Add: return wrap_add(a, b);
+    case BinaryOp::Sub: return wrap_sub(a, b);
+    case BinaryOp::Mul: return wrap_mul(a, b);
+    case BinaryOp::Div: return checked_div(a, b);
+    case BinaryOp::Mod: return checked_rem(a, b);
     case BinaryOp::Lt: return a < b ? 1 : 0;
     case BinaryOp::Le: return a <= b ? 1 : 0;
     case BinaryOp::Gt: return a > b ? 1 : 0;
@@ -49,7 +47,7 @@ bool fold_expr(ExprPtr& e) {
     case Expr::Kind::Unary: {
       if (is_lit(*e->kids[0])) {
         const int64_t v = e->kids[0]->int_val;
-        const int64_t r = e->un_op == UnaryOp::Neg ? -v : (v == 0 ? 1 : 0);
+        const int64_t r = e->un_op == UnaryOp::Neg ? wrap_neg(v) : (v == 0 ? 1 : 0);
         e = Expr::int_lit(r, e->loc);
         return true;
       }

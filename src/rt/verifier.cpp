@@ -1,7 +1,6 @@
 #include "rt/verifier.h"
 
 #include "support/str.h"
-#include "support/trace.h"
 
 #include <cassert>
 #include <thread>
@@ -23,13 +22,13 @@ namespace {
 ///
 /// The comm-id field carries the registry identity of the communicator the
 /// collective runs on (0 = MPI_COMM_WORLD, which keeps world-only ids — and
-/// therefore every legacy diagnostic wording — bit-identical). Without it,
-/// two identical collectives issued on *different* communicators would
-/// spuriously agree in the dedicated-round protocol and in the exit
-/// sentinel; with it, the agreement is scoped per communicator. The field is
-/// always encoded, even in type-only mode: the paper skips *argument*
-/// checking, but "which communicator" is part of the collective's identity,
-/// not an argument.
+/// therefore every world-only diagnostic wording — bit-identical). Without
+/// it, a communicator-free agreement (the paper's allgather before each
+/// collective) would let two identical collectives issued on *different*
+/// communicators spuriously agree; with it, the agreement is scoped per
+/// communicator. The field is always encoded, even in type-only mode: the
+/// paper skips *argument* checking, but "which communicator" is part of the
+/// collective's identity, not an argument.
 constexpr int64_t kFinalId = -1;
 constexpr int kOpShift = 33;
 constexpr int kKindShift = 41;
@@ -41,7 +40,7 @@ constexpr int64_t kMaxCommId = (int64_t{1} << (62 - kCommShift)) - 1;
 
 // Invariants: kind and op+1 must fit their fields; every int32 root must fit
 // below the op field once biased. The registry enforces the comm-id cap at
-// creation time (UsageError, not assert), so no id that reaches encode_cc
+// creation time (UsageError, not assert), so no id that reaches cc_lane_id
 // can escape its field even in NDEBUG builds.
 static_assert(simmpi::CommRegistry::kMaxCommId == kMaxCommId,
               "registry comm-id cap out of sync with the CC field width");
@@ -49,22 +48,6 @@ static_assert(ir::kNumCollectiveKinds + 1 < (1 << (kCommShift - kKindShift)),
               "collective kind overflows its CC field");
 static_assert(kRootBias * 2 + 2 < (int64_t{1} << kOpShift),
               "biased root overflows its CC field");
-
-int64_t encode_cc(ir::CollectiveKind kind, std::optional<ir::ReduceOp> op,
-                  int32_t root, bool with_args, int32_t comm_id) {
-  assert(comm_id >= 0 && comm_id <= kMaxCommId &&
-         "registry comm id escaped its CC field");
-  const int64_t c = static_cast<int64_t>(comm_id) << kCommShift;
-  const int64_t k = static_cast<int64_t>(kind) + 1;
-  if (!with_args) return c | (k << kKindShift);
-  const int64_t o = op ? static_cast<int64_t>(*op) + 1 : 0;
-  const int64_t root_field = static_cast<int64_t>(root) + 2 + kRootBias;
-  assert(root_field > 0 && root_field < (int64_t{1} << kOpShift) &&
-         "biased root escaped its CC field");
-  assert(o >= 0 && o < (1 << (kKindShift - kOpShift)) &&
-         "reduce op escaped its CC field");
-  return c | (k << kKindShift) | (o << kOpShift) | root_field;
-}
 
 std::string cc_name(int64_t id) {
   if (id == kFinalId) return "<left main>";
@@ -106,14 +89,8 @@ std::string per_rank_detail(const std::vector<int64_t>& ids,
 
 } // namespace
 
-Verifier::Verifier(const SourceManager& sm, VerifierOptions opts,
-                   int32_t num_ranks)
-    : sm_(sm), opts_(opts), num_ranks_(num_ranks),
-      trace_(Tracer::effective(opts.tracer)) {
-  cc_mu_.reserve(static_cast<size_t>(num_ranks));
-  for (int32_t r = 0; r < num_ranks; ++r)
-    cc_mu_.push_back(std::make_unique<std::mutex>());
-}
+Verifier::Verifier(const SourceManager& sm, VerifierOptions opts)
+    : sm_(sm), opts_(opts) {}
 
 void Verifier::record(Severity sev, DiagKind kind, SourceLoc loc, std::string msg,
                       std::vector<std::pair<SourceLoc, std::string>> notes) {
@@ -127,95 +104,32 @@ void Verifier::record(Severity sev, DiagKind kind, SourceLoc loc, std::string ms
   diags_.push_back(std::move(d));
 }
 
-void Verifier::check_cc(simmpi::Rank& rank, ir::CollectiveKind kind,
-                        SourceLoc loc, std::optional<ir::ReduceOp> op,
-                        int32_t root, int32_t comm_id) {
-  const int64_t my_id = encode_cc(kind, op, root, opts_.check_arguments, comm_id);
-  std::vector<int64_t> ids;
-  {
-    std::scoped_lock cc_lock(*cc_mu_[static_cast<size_t>(rank.rank())]);
-    const simmpi::Signature sig{ir::CollectiveKind::Allgather, -1, {}};
-    ids = rank.verifier_comm().execute(rank.rank(), sig, my_id).vec;
-  }
-  bool mismatch = false;
-  for (int64_t id : ids) mismatch |= id != ids[0];
-  // The dedicated round runs on the verifier communicator (comm id -1).
-  if (trace_)
-    trace_->emit(TraceEv::CcCompare, rank.rank(), -1, -1, mismatch ? 1 : 0);
-  if (!mismatch) return;
-  if (trace_) trace_->emit(TraceEv::CcMismatch, rank.rank(), -1, -1);
-
-  // Every rank observes the same allgather result; let rank 0's thread
-  // produce the report to avoid duplicates, then abort the world.
-  if (rank.rank() == static_cast<int32_t>(0)) {
-    record(Severity::Error, DiagKind::RtCollectiveMismatch, loc,
-           str::cat("CC check: MPI processes are about to execute different "
-                    "collectives (", per_rank_detail(ids),
-                    "); stopping before deadlock"));
-  }
-  rank.abort(str::cat("CC mismatch detected before ", ir::to_string(kind),
-                      " at ", sm_.describe(loc)));
-  throw simmpi::AbortedError("CC mismatch");
-}
-
-void Verifier::check_cc_final(simmpi::Rank& rank, SourceLoc loc) {
-  std::vector<int64_t> ids;
-  {
-    std::scoped_lock cc_lock(*cc_mu_[static_cast<size_t>(rank.rank())]);
-    const simmpi::Signature sig{ir::CollectiveKind::Allgather, -1, {}};
-    ids = rank.verifier_comm().execute(rank.rank(), sig, kFinalId).vec;
-  }
-  bool mismatch = false;
-  for (int64_t id : ids) mismatch |= id != kFinalId;
-  if (trace_)
-    trace_->emit(TraceEv::CcCompare, rank.rank(), -1, -1, mismatch ? 1 : 0);
-  if (!mismatch) return;
-  if (trace_) trace_->emit(TraceEv::CcMismatch, rank.rank(), -1, -1);
-  if (rank.rank() == 0) {
-    record(Severity::Error, DiagKind::RtCollectiveMismatch, loc,
-           str::cat("CC check: some processes leave main while others still "
-                    "execute collectives (", per_rank_detail(ids),
-                    "); stopping before deadlock"));
-  }
-  rank.abort(str::cat("CC mismatch at process exit, ", sm_.describe(loc)));
-  throw simmpi::AbortedError("CC mismatch at exit");
-}
-
-// ---- Piggybacked CC -----------------------------------------------------------
+// ---- CC -----------------------------------------------------------------------
 
 int64_t Verifier::cc_lane_id(ir::CollectiveKind kind,
                              std::optional<ir::ReduceOp> op, int32_t root,
                              int32_t comm_id) const {
-  return encode_cc(kind, op, root, opts_.check_arguments, comm_id);
-}
-
-int64_t Verifier::cc_skeleton(ir::CollectiveKind kind,
-                              std::optional<ir::ReduceOp> op) const {
-  const int64_t k = static_cast<int64_t>(kind) + 1;
-  if (!opts_.check_arguments) return k << kKindShift;
-  const int64_t o = op ? static_cast<int64_t>(*op) + 1 : 0;
-  return (k << kKindShift) | (o << kOpShift);
-}
-
-int64_t Verifier::cc_patch(int64_t skeleton, int32_t root,
-                           int32_t comm_id) const {
   assert(comm_id >= 0 && comm_id <= kMaxCommId &&
          "registry comm id escaped its CC field");
-  int64_t id = skeleton | (static_cast<int64_t>(comm_id) << kCommShift);
-  // The biased root field sits entirely below the op field, so OR-ing it in
-  // is the same addition encode_cc performs.
-  if (opts_.check_arguments)
-    id |= static_cast<int64_t>(root) + 2 + kRootBias;
-  return id;
+  const int64_t c = static_cast<int64_t>(comm_id) << kCommShift;
+  const int64_t k = static_cast<int64_t>(kind) + 1;
+  if (!opts_.check_arguments) return c | (k << kKindShift);
+  const int64_t o = op ? static_cast<int64_t>(*op) + 1 : 0;
+  const int64_t root_field = static_cast<int64_t>(root) + 2 + kRootBias;
+  assert(root_field > 0 && root_field < (int64_t{1} << kOpShift) &&
+         "biased root escaped its CC field");
+  assert(o >= 0 && o < (1 << (kKindShift - kOpShift)) &&
+         "reduce op escaped its CC field");
+  return c | (k << kKindShift) | (o << kOpShift) | root_field;
 }
 
 void Verifier::report_cc_mismatch(simmpi::Rank& rank, ir::CollectiveKind kind,
                                   SourceLoc loc,
                                   const simmpi::CcMismatchError& e) {
   // The slot engine hands the full per-rank picture to exactly one thread,
-  // so the report is recorded unconditionally (no rank-0 dedup needed). The
-  // wording follows what rank 0 contributed — the thread that produced the
-  // report under the dedicated-communicator protocol.
+  // so the report is recorded unconditionally. The wording follows what
+  // the communicator's first member contributed: "leave main" when it
+  // posted the exit sentinel, "about to execute" otherwise.
   const bool rank0_left_main = !e.ids.empty() && e.ids[0] == kFinalId;
   if (rank0_left_main) {
     record(Severity::Error, DiagKind::RtCollectiveMismatch, loc,
@@ -240,8 +154,7 @@ void Verifier::check_cc_final_piggybacked(simmpi::Rank& rank, SourceLoc loc) {
   sig.cc = kFinalId;
   try {
     // Direct Comm access: the sentinel runs after mpi_finalize, past the
-    // Rank-level "call after finalize" guard, exactly like the legacy
-    // verifier-communicator sentinel did.
+    // Rank-level "call after finalize" guard.
     rank.app_comm().execute(rank.rank(), sig, 0);
   } catch (const simmpi::CcMismatchError& e) {
     report_cc_mismatch(rank, ir::CollectiveKind::Finalize, loc, e);

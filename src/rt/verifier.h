@@ -1,13 +1,16 @@
 // Execution-time verification (Section 3 of the paper).
 //
-// The CC check runs *before* each instrumented collective: every rank
-// contributes the id of the collective it is about to execute to an
-// allgather on a dedicated verifier communicator. If the ids disagree, every
-// rank learns the full per-rank picture, the error is reported with the
-// collective names and source locations involved, and the world is aborted —
-// *before* the mismatched application collectives can deadlock. A sentinel
-// id is contributed before a process leaves main, catching "rank 0 returned
-// while rank 1 still waits in MPI_Allreduce" situations.
+// The CC check runs with each instrumented collective: every rank's id of
+// the collective it is about to execute (cc_lane_id) rides in that
+// collective's own slot arrival (simmpi::Signature::cc), so the agreement
+// costs no synchronization round of its own. The paper runs it as a
+// separate allgather before the collective; piggybacking halves the rounds
+// per checked collective and keeps the guarantee. If the ids disagree, the
+// slot hands the full per-rank picture to one thread, the error is reported
+// with the collective names and source locations involved, and the world is
+// aborted — before the mismatched application collectives can deadlock. A
+// sentinel id is posted before a process leaves main, catching "rank 0
+// returned while rank 1 still waits in MPI_Allreduce" situations.
 //
 // Occupancy checks guard collectives that the static phase could not prove
 // monothreaded: a per-site counter detects two threads inside the same
@@ -41,60 +44,26 @@ struct VerifierOptions {
   /// of collectives arguments ... is not checked"). Off = paper-faithful:
   /// an op/root divergence then manifests as a hang caught by the watchdog.
   bool check_arguments = true;
-  /// Observability: optional flight-recorder tracer (the verifier emits
-  /// CC compare/mismatch events for its legacy dedicated rounds). The
-  /// verifier caches the effective()-filtered pointer; null = off.
-  Tracer* tracer = nullptr;
 };
 
 class Verifier {
 public:
-  Verifier(const SourceManager& sm, VerifierOptions opts, int32_t num_ranks);
+  Verifier(const SourceManager& sm, VerifierOptions opts);
 
-  /// CC before a collective. Aborts the world on mismatch (throws
-  /// simmpi::AbortedError into the calling rank like any abort). `op` and
-  /// `root` take part in the agreement when options.check_arguments is set;
-  /// root is the *evaluated* root rank (-1 for rootless collectives).
-  /// `comm_id` is the registry identity of the communicator the collective
-  /// runs on (0 = MPI_COMM_WORLD); it always takes part in the agreement, so
-  /// identical collectives on different communicators no longer spuriously
-  /// agree.
-  void check_cc(simmpi::Rank& rank, ir::CollectiveKind kind, SourceLoc loc,
-                std::optional<ir::ReduceOp> op = std::nullopt,
-                int32_t root = -1, int32_t comm_id = 0);
-
-  /// CC sentinel before a process leaves main.
-  void check_cc_final(simmpi::Rank& rank, SourceLoc loc);
-
-  // -- Piggybacked CC (zero extra synchronization rounds) ---------------------
-  /// CC id for an instrumented collective, to ride in simmpi::Signature::cc:
-  /// the agreement value travels inside the application collective's own
-  /// slot arrival, so the check costs no dedicated-communicator round. `op`
-  /// and `root` take part when options.check_arguments is set, exactly like
-  /// check_cc.
+  /// The CC id of an instrumented collective, to ride in
+  /// simmpi::Signature::cc. `op` and `root` take part in the agreement when
+  /// options.check_arguments is set; root is the *evaluated* root rank (-1
+  /// for rootless collectives). `comm_id` is the registry identity of the
+  /// communicator the collective runs on (0 = MPI_COMM_WORLD); it always
+  /// takes part, so identical collectives on different communicators do not
+  /// spuriously agree.
   [[nodiscard]] int64_t cc_lane_id(ir::CollectiveKind kind,
                                    std::optional<ir::ReduceOp> op = std::nullopt,
                                    int32_t root = -1,
                                    int32_t comm_id = 0) const;
 
-  /// Compile-once CC id skeleton for an armed collective site: the kind and
-  /// reduce-op fields are pre-encoded (honouring check_arguments), the root
-  /// and comm-id fields are left empty. The bytecode engine builds one
-  /// skeleton per armed site per run instead of re-running encode_cc per
-  /// call.
-  [[nodiscard]] int64_t
-  cc_skeleton(ir::CollectiveKind kind,
-              std::optional<ir::ReduceOp> op = std::nullopt) const;
-
-  /// Patches the runtime-dependent fields — the *evaluated* root rank (when
-  /// arguments are checked) and the registry comm id — into a skeleton.
-  /// Invariant: cc_patch(cc_skeleton(k, op), r, c) == cc_lane_id(k, op, r, c).
-  [[nodiscard]] int64_t cc_patch(int64_t skeleton, int32_t root,
-                                 int32_t comm_id) const;
-
-  /// Reports a piggybacked CC disagreement — the CcMismatchError the slot
-  /// engine throws to exactly one thread world-wide — with the same wording
-  /// check_cc / check_cc_final produce, then aborts the world.
+  /// Reports a CC disagreement — the CcMismatchError the slot engine throws
+  /// to exactly one thread world-wide — then aborts the world.
   [[noreturn]] void report_cc_mismatch(simmpi::Rank& rank,
                                        ir::CollectiveKind kind, SourceLoc loc,
                                        const simmpi::CcMismatchError& e);
@@ -173,14 +142,9 @@ private:
 
   const SourceManager& sm_;
   VerifierOptions opts_;
-  int32_t num_ranks_;
-  Tracer* trace_ = nullptr; // effective()-filtered copy of opts_.tracer
 
   mutable std::mutex mu_;
   std::vector<Diagnostic> diags_;
-  /// Serializes CC calls within one rank so misuse cannot desynchronize the
-  /// verifier communicator itself.
-  std::vector<std::unique_ptr<std::mutex>> cc_mu_;
   /// Occupancy per (rank, stmt). Guarded by mu_.
   std::map<std::pair<int32_t, int32_t>, int32_t> site_occupancy_;
   /// Active watched regions per (rank, region) with entry loc. Guarded by mu_.

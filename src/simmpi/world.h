@@ -156,9 +156,6 @@ public:
   int64_t istart_on(const CommRef& ref, const Signature& sig, int64_t scalar,
                     const std::vector<int64_t>& vec = {});
 
-  /// Dedicated communicator for verifier traffic (the CC protocol) so that
-  /// checks never perturb application slot matching.
-  [[nodiscard]] Comm& verifier_comm() noexcept;
   [[nodiscard]] Comm& app_comm() noexcept;
   /// The world's communicator registry (split/dup events, watchdog polling).
   [[nodiscard]] CommRegistry& comms() noexcept;
@@ -197,13 +194,15 @@ struct RunReport {
   /// Completed matching slots across MPI_COMM_WORLD *and* every registry
   /// child communicator (split/dup results).
   uint64_t app_slots_completed = 0;
+  /// Always 0: every CC agreement rides inside an application slot (see
+  /// cc_piggybacked). Kept only because bench/e2e/main.cpp adds it to
+  /// app_slots_completed, and bench/e2e changes only with the benchmark.
   uint64_t verifier_slots_completed = 0;
   /// Child communicators created by mpi_comm_split / mpi_comm_dup.
   uint64_t comms_created = 0;
   /// CC agreements that rode inside application slots (piggybacked checks):
   /// each one is a runtime CC check that cost zero extra synchronization
-  /// rounds. Legacy dedicated-communicator rounds show up in
-  /// verifier_slots_completed instead.
+  /// rounds.
   uint64_t cc_piggybacked = 0;
   /// Selective-arming census, filled by the interpreter from the
   /// instrumentation plan driving the run (0 for plan-free direct API runs):
@@ -301,7 +300,6 @@ private:
   Options opts_;
   WorldState state_;
   std::unique_ptr<CommRegistry> comms_;
-  std::unique_ptr<Comm> verifier_comm_;
   std::unique_ptr<RequestEngine> requests_;
   std::vector<std::unique_ptr<Rank>> ranks_;
   std::mutex violations_mu_;

@@ -122,16 +122,19 @@ TEST(Bytecode, DisassemblyShowsBakedArming) {
                                  d, popts);
   ASSERT_TRUE(c.ok);
   ASSERT_FALSE(c.plan.cc_stmts.empty());
+  const auto armed_sites = [](const BcProgram& bc) {
+    size_t n = 0;
+    for (const MpiSite& st : bc.mpi_sites) n += st.armed ? 1 : 0;
+    return n;
+  };
   const auto bc = compile(c.program, sm, &c.plan);
-  EXPECT_TRUE(bc.instrumented);
-  EXPECT_TRUE(bc.cc_final_in_main);
-  EXPECT_FALSE(bc.cc_sites.empty());
+  EXPECT_GT(armed_sites(bc), 0u);
   const std::string dis = disassemble(bc);
   EXPECT_NE(dis.find("mpi_coll"), std::string::npos);
   EXPECT_NE(dis.find(" cc"), std::string::npos) << dis;
   // Uninstrumented compile of the same program has no armed sites.
   const auto plain = compile(c.program, sm, nullptr);
-  EXPECT_TRUE(plain.cc_sites.empty());
+  EXPECT_EQ(armed_sites(plain), 0u);
   EXPECT_EQ(disassemble(plain).find(" cc]"), std::string::npos);
 }
 
@@ -166,7 +169,6 @@ TEST(BcPasses, FusionEmitsSuperinstructionsAndShrinksCode) {
   const size_t before = instr_count(bc);
   BcPassOptions only_fuse;
   only_fuse.regalloc = false;
-  only_fuse.quicken = false;
   run_passes(bc, only_fuse);
   const std::string dis = disassemble(bc);
   // The loop shape must collapse into the expected superinstructions:
@@ -204,55 +206,14 @@ TEST(BcPasses, RegallocShrinksRegisterFileAfterFusion) {
   auto fused = compile(c.program, sm, nullptr);
   BcPassOptions only_fuse;
   only_fuse.regalloc = false;
-  only_fuse.quicken = false;
   run_passes(fused, only_fuse);
 
   auto packed = compile(c.program, sm, nullptr);
-  BcPassOptions fuse_ra;
-  fuse_ra.quicken = false;
-  run_passes(packed, fuse_ra);
+  run_passes(packed, BcPassOptions{});
 
   EXPECT_LT(packed.funcs[0].num_regs, fused.funcs[0].num_regs)
       << disassemble(packed);
   EXPECT_GE(packed.funcs[0].num_regs, 1);
-}
-
-TEST(BcPasses, QuickeningSpecializesArmedAndUnarmedCollectives) {
-  SourceManager sm;
-  DiagnosticEngine d;
-  driver::PipelineOptions popts;
-  popts.mode = driver::Mode::WarningsAndCodegen;
-  const auto c = driver::compile(sm, "t", R"(func main() {
-    mpi_init(single);
-    var x = 1;
-    if (rank() == 0) {
-      x = mpi_allreduce(x, sum);
-    } else {
-      x = mpi_bcast(x, 0);
-    }
-    mpi_finalize();
-  })",
-                                 d, popts);
-  ASSERT_TRUE(c.ok);
-  auto bc = compile(c.program, sm, &c.plan);
-  BcPassOptions only_quicken;
-  only_quicken.fuse = false;
-  only_quicken.regalloc = false;
-  run_passes(bc, only_quicken);
-  const std::string dis = disassemble(bc);
-  // Armed world-comm collectives become the wa flavor; mpi_init/finalize
-  // must stay on the generic opcode (init/finalize do extra work in the
-  // generic handler and are deliberately excluded from quickening).
-  EXPECT_NE(dis.find("mpi_coll_wa"), std::string::npos) << dis;
-  EXPECT_NE(dis.find("mpi_coll "), std::string::npos) << dis;
-
-  // Uninstrumented compile of the same program quickens to the unarmed
-  // flavor instead.
-  auto plain = compile(c.program, sm, nullptr);
-  run_passes(plain, only_quicken);
-  const std::string pdis = disassemble(plain);
-  EXPECT_NE(pdis.find("mpi_coll_wu"), std::string::npos) << pdis;
-  EXPECT_EQ(pdis.find("mpi_coll_wa"), std::string::npos) << pdis;
 }
 
 // ---- Engine parity on targeted semantics --------------------------------------

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <utility>
 
 namespace parcoach {
@@ -21,6 +22,20 @@ using workloads::CorpusEntry;
 using workloads::DynamicOutcome;
 
 class CorpusTest : public ::testing::TestWithParam<CorpusEntry> {};
+
+/// A traced collective span: the packed (kind, reduce op) and the root.
+using CollSpan = std::pair<int64_t, int64_t>;
+/// Each rank's CollEnter/CollExit events, in order.
+using CollSpans =
+    std::map<int32_t, std::vector<std::pair<TraceEv, CollSpan>>>;
+
+CollSpans coll_spans(const Tracer& tracer) {
+  CollSpans out;
+  for (const TraceEvent& ev : tracer.snapshot())
+    if (ev.kind == TraceEv::CollEnter || ev.kind == TraceEv::CollExit)
+      out[ev.rank].emplace_back(ev.kind, CollSpan{ev.a, ev.b});
+  return out;
+}
 
 driver::CompileResult compile_full(const CorpusEntry& e, SourceManager& sm,
                                    DiagnosticEngine& diags) {
@@ -217,11 +232,10 @@ TEST_P(CorpusTest, BytecodeMatchesAstOutcome) {
     const char* name;
     interp::BcPassOptions passes;
   } pass_cfgs[] = {
-      {"passes=all-on", {true, true, true}},
-      {"passes=no-regalloc", {false, true, true}},
-      {"passes=no-fuse", {true, false, true}},
-      {"passes=no-quicken", {true, true, false}},
-      {"passes=all-off", {false, false, false}},
+      {"passes=all-on", {true, true}},
+      {"passes=no-regalloc", {false, true}},
+      {"passes=no-fuse", {true, false}},
+      {"passes=all-off", {false, false}},
   };
 
   const core::InstrumentationPlan* plans[] = {nullptr, &r.plan, &programwide};
@@ -249,7 +263,9 @@ TEST_P(CorpusTest, BytecodeMatchesAstOutcome) {
 // produce byte-identical dynamic outcomes to running with none attached.
 // The only allowed difference is additive — the flight-recorder appendix on
 // a watchdog deadlock report — which is stripped at its marker before the
-// comparison. Scheduler-dependent entries are skipped as usual.
+// comparison. Scheduler-dependent entries are skipped as usual. On
+// OpenMP-free entries the two engines must also trace the same collective
+// spans, rank by rank.
 TEST_P(CorpusTest, TracingOnMatchesTracingOff) {
   const CorpusEntry& e = GetParam();
   if (e.dynamic == DynamicOutcome::CaughtRace ||
@@ -260,9 +276,12 @@ TEST_P(CorpusTest, TracingOnMatchesTracingOff) {
   const auto r = compile_full(e, sm, diags);
   ASSERT_TRUE(r.ok) << diags.to_text(sm);
 
-  auto run_with = [&](interp::Engine engine, bool traced) {
+  auto run_with = [&](interp::Engine engine, bool traced,
+                      CollSpans* spans = nullptr) {
     // Fresh observers per run: ring contents must never leak across runs.
-    Tracer tracer;
+    // The ring holds every event of these short runs, so the span sequences
+    // compared below are complete.
+    Tracer tracer(TracerOptions{true, size_t{1} << 14});
     MetricsRegistry metrics;
     interp::Executor exec(r.program, sm, &r.plan);
     interp::ExecOptions opts;
@@ -277,6 +296,10 @@ TEST_P(CorpusTest, TracingOnMatchesTracingOff) {
     }
     auto result = exec.run(opts);
     if (traced) EXPECT_GT(tracer.events_captured(), 0u);
+    if (spans) {
+      EXPECT_EQ(tracer.events_dropped(), 0u);
+      *spans = coll_spans(tracer);
+    }
     return result;
   };
   auto keyed = [](const std::vector<Diagnostic>& ds) {
@@ -293,11 +316,12 @@ TEST_P(CorpusTest, TracingOnMatchesTracingOff) {
     return details;
   };
 
+  std::map<interp::Engine, CollSpans> spans;
   for (interp::Engine engine :
        {interp::Engine::Ast, interp::Engine::Bytecode}) {
     SCOPED_TRACE(to_string(engine));
     const auto off = run_with(engine, false);
-    const auto on = run_with(engine, true);
+    const auto on = run_with(engine, true, &spans[engine]);
     EXPECT_EQ(off.clean, on.clean);
     EXPECT_EQ(off.mpi.deadlock, on.mpi.deadlock);
     EXPECT_EQ(off.mpi.deadlock_details, stripped(on.mpi.deadlock_details));
@@ -313,6 +337,52 @@ TEST_P(CorpusTest, TracingOnMatchesTracingOff) {
     EXPECT_TRUE(off.mpi.metrics.empty());
     EXPECT_FALSE(on.mpi.metrics.empty());
   }
+  if (e.source.find("omp parallel") == std::string::npos)
+    EXPECT_EQ(spans[interp::Engine::Ast], spans[interp::Engine::Bytecode]);
+}
+
+// A check that aborts the rank still leaves the collective it was entering
+// in the trace, on both engines: under MPI_THREAD_single the barrier in the
+// master region trips the thread-level check, which aborts the run.
+TEST(EngineTraceParity, AbortingThreadLevelCheckRecordsTheSameSpan) {
+  SourceManager sm;
+  DiagnosticEngine diags;
+  driver::PipelineOptions popts;
+  popts.mode = driver::Mode::WarningsAndCodegen;
+  const auto r = driver::compile(sm, "master_barrier_single", R"(func main() {
+  mpi_init(single);
+  omp parallel num_threads(2) {
+    omp master {
+      mpi_barrier();
+    }
+  }
+  mpi_finalize();
+}
+)",
+                                 diags, popts);
+  ASSERT_TRUE(r.ok) << diags.to_text(sm);
+  std::map<interp::Engine, CollSpans> spans;
+  for (interp::Engine engine :
+       {interp::Engine::Ast, interp::Engine::Bytecode}) {
+    SCOPED_TRACE(to_string(engine));
+    Tracer tracer;
+    interp::Executor exec(r.program, sm, &r.plan);
+    interp::ExecOptions opts;
+    opts.engine = engine;
+    opts.num_ranks = 1;
+    opts.verify.abort_on_thread_level = true;
+    opts.tracer = &tracer;
+    const auto res = exec.run(opts);
+    EXPECT_TRUE(res.mpi.aborted);
+    spans[engine] = coll_spans(tracer);
+  }
+  const CollSpan barrier{
+      trace_pack_coll(static_cast<int32_t>(ir::CollectiveKind::Barrier), 0),
+      -1};
+  const CollSpans expected{
+      {0, {{TraceEv::CollEnter, barrier}, {TraceEv::CollExit, barrier}}}};
+  EXPECT_EQ(spans[interp::Engine::Ast], expected);
+  EXPECT_EQ(spans[interp::Engine::Bytecode], expected);
 }
 
 TEST_P(CorpusTest, UninstrumentedMismatchesDeadlock) {

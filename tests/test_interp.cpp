@@ -257,6 +257,42 @@ TEST(Interp, DivisionByZeroAbortsCleanly) {
                                std::string::npos);
 }
 
+TEST(Interp, Int64ExtremesAreDefinedOnBothEngines) {
+  // INT64_MIN / -1 is a rank error, as division by zero is — never a
+  // SIGFPE. x % -1 is 0, and + - * and unary - wrap modulo 2^64.
+  SourceManager sm;
+  DiagnosticEngine d;
+  driver::PipelineOptions popts;
+  popts.mode = driver::Mode::Baseline;
+  const auto c = driver::compile(sm, "t", R"(func main() {
+    var lo = 0 - 9223372036854775807 - 1;
+    var m1 = 0 - 1;
+    print(lo % m1, lo * m1, -lo, lo - 1, (0 - lo) + lo);
+    var q = lo / m1;
+    print(q);
+  })",
+                                 d, popts);
+  ASSERT_TRUE(c.ok) << d.to_text(sm);
+  for (const Engine engine : {Engine::Ast, Engine::Bytecode}) {
+    SCOPED_TRACE(to_string(engine));
+    Executor exec(c.program, sm, nullptr);
+    ExecOptions eopts;
+    eopts.engine = engine;
+    eopts.num_ranks = 1;
+    eopts.num_threads = 1;
+    const auto res = exec.run(eopts);
+    EXPECT_FALSE(res.clean);
+    EXPECT_FALSE(res.mpi.deadlock);
+    ASSERT_EQ(res.output.size(), 1u);
+    EXPECT_EQ(res.output[0], "rank 0: 0 -9223372036854775808 "
+                             "-9223372036854775808 9223372036854775807 0");
+    ASSERT_EQ(res.mpi.rank_errors.size(), 1u);
+    EXPECT_NE(res.mpi.rank_errors[0].find("integer overflow in division"),
+              std::string::npos)
+        << res.mpi.rank_errors[0];
+  }
+}
+
 TEST(Interp, StepLimitStopsRunawayPrograms) {
   driver::PipelineOptions popts;
   popts.mode = driver::Mode::Baseline;

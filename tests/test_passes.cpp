@@ -57,6 +57,28 @@ TEST(ConstFold, DivisionByZeroLeftUnfolded) {
   EXPECT_TRUE(str::contains(text, "(5 % 0)"));
 }
 
+TEST(ConstFold, OverflowingQuotientLeftUnfoldedAndArithmeticWraps) {
+  // INT64_MIN / -1 has no int64 value: the folder must leave it to the
+  // interpreter (a rank error) instead of trapping the process. The
+  // remainder by -1 is 0, and + - * unary - wrap like the engines.
+  auto m = lower(R"(func f() {
+    var x = (0 - 9223372036854775807 - 1) / (0 - 1);
+    var y = (0 - 9223372036854775807 - 1) % (0 - 1);
+    var z = 9223372036854775807 + 1;
+    var w = (0 - 9223372036854775807 - 1) - 1;
+    var p = 4611686018427387904 * 2;
+    var n = -(0 - 9223372036854775807 - 1);
+  })");
+  EXPECT_TRUE(fold_constants(*m->functions()[0]));
+  const std::string text = first_fn_text(*m);
+  EXPECT_TRUE(str::contains(text, "x = (-9223372036854775808 / -1)")) << text;
+  EXPECT_TRUE(str::contains(text, "y = 0")) << text;
+  EXPECT_TRUE(str::contains(text, "z = -9223372036854775808")) << text;
+  EXPECT_TRUE(str::contains(text, "w = 9223372036854775807")) << text;
+  EXPECT_TRUE(str::contains(text, "p = -9223372036854775808")) << text;
+  EXPECT_TRUE(str::contains(text, "n = -9223372036854775808")) << text;
+}
+
 TEST(ConstFold, UnaryFolds) {
   auto m = lower("func f() { var x = -(3); var y = !(0); }");
   EXPECT_TRUE(fold_constants(*m->functions()[0]));

@@ -277,7 +277,7 @@ public:
     os << "func main() {\n  mpi_init(single);\n";
     scopes_.push_back({});
     emit_block(os, "  ", 6 + rng_.below(5), 0, /*in_parallel=*/false);
-    // Fold whatever survived into a collective so quickening and the CC
+    // Fold whatever survived into a collective so the MPI executor and the CC
     // machinery run on every generated program.
     os << "  var total = (" << sum_of_scope() << ") % 100003;\n"
        << "  var red = mpi_allreduce(total, sum);\n"
@@ -522,11 +522,10 @@ TEST_P(PropertyEngineParity, AllPassConfigsMatchAstOracle) {
     const char* name;
     interp::BcPassOptions passes;
   } kConfigs[] = {
-      {"all-on", {true, true, true}},
-      {"no-regalloc", {false, true, true}},
-      {"no-fuse", {true, false, true}},
-      {"no-quicken", {true, true, false}},
-      {"all-off", {false, false, false}},
+      {"all-on", {true, true}},
+      {"no-regalloc", {false, true}},
+      {"no-fuse", {true, false}},
+      {"all-off", {false, false}},
   };
   for (const auto& cfg : kConfigs) {
     const Outcome got =

@@ -263,21 +263,6 @@ TEST(SimMpi, ManySlotsMemoryBounded) {
   EXPECT_EQ(rep.app_slots_completed, 5000u);
 }
 
-TEST(SimMpi, VerifierCommIsIndependent) {
-  World w(fast_world(2));
-  const auto rep = w.run([](Rank& mpi) {
-    // Interleave app and verifier traffic; slot counters must not interfere.
-    mpi.barrier();
-    const Signature sig{CollectiveKind::Allgather, -1, {}};
-    const auto r = mpi.verifier_comm().execute(mpi.rank(), sig, mpi.rank());
-    EXPECT_EQ(r.vec.size(), 2u);
-    mpi.barrier();
-  });
-  EXPECT_TRUE(rep.ok);
-  EXPECT_EQ(rep.app_slots_completed, 2u);
-  EXPECT_EQ(rep.verifier_slots_completed, 1u);
-}
-
 } // namespace
 } // namespace parcoach::simmpi
 
