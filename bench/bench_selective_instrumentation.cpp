@@ -101,7 +101,7 @@ void bench_plan_and_apply(benchmark::State& state, bool blanket) {
 // clean comms never touch the CC lane. The hot loop is on the clean
 // comm(s); its bound is rank-uniform, so the rank-taint refinement keeps
 // the clean classes unarmed (without it, Algorithm 1 conservatively flags
-// every loop-carried collective — the bench_runtime_overhead story).
+// every loop-carried collective, as the original tool does).
 
 struct Scenario {
   const char* name;

@@ -92,7 +92,7 @@ struct CliOptions {
 int usage() {
   std::cerr << "usage: parcoachmt {analyze|instrument|run} FILE"
                " [--ranks=N] [--threads=N] [--no-verify] [--taint-filter]"
-               " [--initial=multithreaded] [--timeout-ms=N]"
+               " [--match-sequences] [--initial=multithreaded] [--timeout-ms=N]"
                " [--hang-timeout-ms=N] [--soft-deadline-ms=N]"
                " [--hard-deadline-ms=N] [--type-only-cc]"
                " [--engine=bytecode|ast] [--dump-bytecode] [--no-fuse]"

@@ -1,5 +1,5 @@
 // Warning-census and pipeline reports (the textual outputs of the tool, and
-// the rows regenerated by bench_warning_census).
+// the rows examples/suite_audit prints for the Figure-1 subjects).
 #pragma once
 
 #include "driver/pipeline.h"

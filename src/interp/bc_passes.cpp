@@ -4,7 +4,7 @@
 // speed comes from two passes applied here, in order:
 //
 //   1. Peephole fusion ("superinstructions"): rewrites the hot adjacent
-//      shapes the opcode-mix histogram identifies — Const/Load operands
+//      shapes of interpreter-bound code — Const/Load operands
 //      folded into arithmetic (the RI/LL/LI/RL blocks), guard compares
 //      (Load+JnXX -> JnXX_LI/LL), loop back-edges (Store+Jump ->
 //      StoreJump), and store forms (Const+Store -> StoreImm, Load+Store ->

@@ -55,7 +55,7 @@ enum : size_t {
 };
 } // namespace detail
 
-/// Number of opcodes (sizes the opcode-mix counter tables).
+/// Number of opcodes (sizes the per-opcode metadata table).
 inline constexpr size_t kNumOps = detail::op_count;
 
 struct BcInstr {

@@ -59,12 +59,6 @@ struct SharedState {
   /// Fault injector (effective()-filtered; null = off). Engines use it for
   /// PCT-style region-entry jitter; simmpi consumes it independently.
   FaultInjector* fault = nullptr;
-  /// Opcode-mix profiling table (bytecode engine; null = off): kNumOps
-  /// atomic counters owned by Executor::run. VM threads count into plain
-  /// thread-local arrays and flush here when they retire, so the dispatch
-  /// loop pays one predictable branch when profiling is off and no atomics
-  /// either way.
-  std::atomic<uint64_t>* opmix_table = nullptr;
 };
 
 /// Batch size of the per-thread step budget. Large enough that the shared

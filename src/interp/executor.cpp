@@ -1,6 +1,5 @@
 #include "interp/executor.h"
 
-#include "interp/bc_ops.h"
 #include "interp/bytecode.h"
 #include "interp/exec_internal.h"
 #include "interp/mpi_ops.h"
@@ -432,11 +431,6 @@ ExecResult Executor::run(const ExecOptions& opts) {
     // baseline encoding in place; opts.passes can disable either.
     BcProgram bc = interp::compile(program_, sm_, plan_);
     run_passes(bc, opts.passes);
-    std::vector<std::atomic<uint64_t>> opmix;
-    if (opts.opmix && opts.metrics) {
-      opmix = std::vector<std::atomic<uint64_t>>(kNumOps);
-      shared.opmix_table = opmix.data();
-    }
     result.mpi = world.run([&](simmpi::Rank& rank) {
       try {
         run_rank_bytecode(shared, bc, rank, opts.num_threads);
@@ -446,14 +440,6 @@ ExecResult Executor::run(const ExecOptions& opts) {
       }
     });
     result.mpi.bytecode_ops = shared.steps_executed.load();
-    if (shared.opmix_table)
-      for (size_t i = 0; i < kNumOps; ++i) {
-        const uint64_t n = opmix[i].load(std::memory_order_relaxed);
-        if (n > 0)
-          opts.metrics
-              ->counter(str::cat("vm.op.", op_name(static_cast<Op>(i))))
-              .fetch_add(n, std::memory_order_relaxed);
-      }
   } else {
     result.mpi = world.run([&](simmpi::Rank& rank) {
       RankExec exec(shared, rank);

@@ -59,10 +59,6 @@ struct ExecOptions {
   /// differential tests run every combination; the CLI exposes them
   /// (--no-fuse etc.) for bisecting a suspect pass.
   BcPassOptions passes;
-  /// Opcode-mix profiling (bytecode engine; needs `metrics`): per-opcode
-  /// retire counts exported as the vm.op.<name> counter family. One
-  /// predictable branch per dispatch when off.
-  bool opmix = false;
 };
 
 struct ExecResult {

@@ -10,7 +10,6 @@
 #include "interp/mpi_ops.h"
 
 #include <functional>
-#include <memory>
 #include <optional>
 
 namespace parcoach::interp {
@@ -52,29 +51,10 @@ struct VmThread : MpiThread {
   /// conforming programs, used as the construct-instance id.
   uint64_t construct_counter = 0;
   StepCounter steps;
-  /// Opcode-mix profiling (null = off): plain per-thread counters, flushed
-  /// into SharedState::opmix_table when the thread retires.
-  uint64_t* opmix = nullptr;
 
-  VmThread(SharedState& shared, simmpi::Rank& rank)
-      : steps(shared, rank), shared_(&shared) {
-    if (shared.opmix_table) {
-      opmix_local_ = std::make_unique<uint64_t[]>(kNumOps); // value-initialized
-      opmix = opmix_local_.get();
-    }
-  }
-  ~VmThread() {
-    if (!opmix) return;
-    for (size_t i = 0; i < kNumOps; ++i)
-      if (opmix[i])
-        shared_->opmix_table[i].fetch_add(opmix[i], std::memory_order_relaxed);
-  }
+  VmThread(SharedState& shared, simmpi::Rank& rank) : steps(shared, rank) {}
   VmThread(const VmThread&) = delete;
   VmThread& operator=(const VmThread&) = delete;
-
-private:
-  SharedState* shared_;
-  std::unique_ptr<uint64_t[]> opmix_local_;
 };
 
 class VmRank {
@@ -199,7 +179,6 @@ private:
 
     while (pc < end) {
       const BcInstr& I = code[pc];
-      if (ts.opmix) ++ts.opmix[static_cast<size_t>(I.op)];
       ts.steps.bump();
       switch (I.op) {
         case Op::Const:

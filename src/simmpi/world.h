@@ -286,8 +286,9 @@ public:
   explicit World(Options opts);
 
   /// Runs `body` once per rank, each on its own thread; returns when all
-  /// rank threads finished (normally or by unwinding). Reentrant per World:
-  /// call run() once per World instance.
+  /// rank threads finished (normally or by unwinding). Single use: the
+  /// World keeps that run's slots, communicators and abort state, so call
+  /// run() at most once per instance.
   RunReport run(const std::function<void(Rank&)>& body);
 
   [[nodiscard]] const Options& options() const noexcept { return opts_; }

@@ -1,6 +1,6 @@
 // Canonical corpus: small MiniHPC programs, each exercising one behaviour of
 // the validator, with machine-checkable expectations. Integration tests walk
-// this table; examples and the warning-census bench reuse it.
+// this table; examples and the benchmarks reuse it.
 #pragma once
 
 #include "support/diagnostics.h"

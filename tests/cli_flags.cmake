@@ -1,5 +1,6 @@
 # Runs the CLI with malformed numeric flags: each must print the usage
-# message and exit 1 (the documented usage-error code), never abort.
+# message and exit 1 (the documented usage-error code), never abort. The
+# usage message also names --match-sequences, which the header documents.
 #
 #   cmake -DCLI=path/to/parcoachmt_cli -DSOURCE_DIR=path/to/repo -P cli_flags.cmake
 set(program "${SOURCE_DIR}/tests/cli_flags_program.mhpc")
@@ -24,6 +25,9 @@ foreach(flag IN LISTS bad_flags)
   if(NOT err MATCHES "invalid value in ${flag}"
      OR NOT err MATCHES "usage: parcoachmt \\{analyze\\|instrument\\|run\\}")
     message(FATAL_ERROR "${flag}: usage message missing; stderr was:\n${err}")
+  endif()
+  if(NOT err MATCHES "\\[--match-sequences\\]")
+    message(FATAL_ERROR "usage message omits --match-sequences:\n${err}")
   endif()
 endforeach()
 # A well-formed value still runs.

@@ -1,8 +1,14 @@
 // Unit tests: workload generators — the five Figure-1 subjects must parse,
-// pass sema, lower, verify and analyze cleanly at realistic scale, and the
-// corpus table must be internally consistent.
+// pass sema, lower, verify and analyze cleanly at realistic scale, the
+// corpus table must be internally consistent, and the end-to-end
+// benchmark's executing workloads must do exactly the work recorded below.
+//
+// The exact work counts are machine-independent: a change that alters one
+// of them must update it here and say so in CHANGES.md.
+#include "core/instrumentation.h"
 #include "driver/pipeline.h"
 #include "driver/report.h"
+#include "interp/bytecode.h"
 #include "interp/executor.h"
 #include "support/str.h"
 #include "workloads/corpus.h"
@@ -10,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 
 namespace parcoach::workloads {
@@ -150,6 +157,73 @@ TEST(Workloads, HeraHasTheRegridFalsePositiveShape) {
   // must remove some of them (the Allreduce-driven regrid decision).
   EXPECT_GT(r.algorithm1.conditionals_flagged_unfiltered,
             r.algorithm1.conditionals_flagged_filtered);
+}
+
+// ---- Exact work counts -----------------------------------------------------------
+// bench/e2e runs these two configurations as its npb_bt_mz and epcc_armed
+// workloads, with the CLI defaults. Their counts depend only on the program,
+// the plan and the pass pipeline: turning a bytecode pass off moves
+// bytecode_ops, an extra synchronization round moves app_slots_completed,
+// and a change to which sites are armed moves cc_piggybacked.
+
+struct WorkCounts {
+  uint64_t bytecode_ops = 0;
+  uint64_t app_slots_completed = 0;
+  uint64_t cc_piggybacked = 0;
+  size_t bc_instrs = 0; // after the pass pipeline
+};
+
+WorkCounts run_counted(const GeneratedProgram& g, bool programwide) {
+  SourceManager sm;
+  DiagnosticEngine diags;
+  driver::PipelineOptions opts;
+  opts.mode = driver::Mode::WarningsAndCodegen;
+  const auto r = driver::compile(sm, g.name, g.source, diags, opts);
+  EXPECT_TRUE(r.ok) << diags.to_text(sm);
+  if (!r.ok) return {};
+  const core::InstrumentationPlan plan =
+      programwide
+          ? core::make_programwide_plan(*r.module, r.phases, r.algorithm1)
+          : r.plan;
+  interp::Executor exec(r.program, sm, &plan);
+  interp::ExecOptions eopts;
+  eopts.num_ranks = 2;
+  eopts.num_threads = 2;
+  eopts.mpi.hang_timeout = std::chrono::milliseconds(1000);
+  const auto res = exec.run(eopts);
+  EXPECT_TRUE(res.clean) << res.mpi.abort_reason << "\n"
+                         << res.mpi.deadlock_details;
+  auto bc = interp::compile(r.program, sm, &plan);
+  interp::run_passes(bc, eopts.passes);
+  return {res.mpi.bytecode_ops, res.mpi.app_slots_completed,
+          res.mpi.cc_piggybacked, bc.total_instrs()};
+}
+
+TEST(WorkCounts, NpbBtMzSelectivePlan) {
+  NpbParams p;
+  p.zones = 4;
+  p.steps = 40;
+  p.threads = 2;
+  p.stages = 2;
+  p.zone_comms = true;
+  const auto c =
+      run_counted(make_npb_mz(NpbVariant::BT, p), /*programwide=*/false);
+  EXPECT_EQ(c.bytecode_ops, 8'353'881u);
+  EXPECT_EQ(c.app_slots_completed, 210u);
+  EXPECT_EQ(c.cc_piggybacked, 210u);
+  EXPECT_EQ(c.bc_instrs, 452u);
+}
+
+TEST(WorkCounts, EpccArmedProgramwidePlan) {
+  EpccParams p;
+  p.reps = 30;
+  p.threads = 2;
+  p.data_sizes = 4;
+  const auto c = run_counted(make_epcc_suite(p), /*programwide=*/true);
+  EXPECT_EQ(c.bytecode_ops, 1'141'828u);
+  EXPECT_EQ(c.app_slots_completed, 2172u);
+  EXPECT_EQ(c.cc_piggybacked, 2172u);
+  EXPECT_EQ(c.bc_instrs, 1149u);
 }
 
 // ---- Corpus sanity -------------------------------------------------------------
