@@ -37,9 +37,9 @@
 //                       see FaultPlan::parse)
 //   --timings           print compile stage times to stderr
 //
-// Numeric values must be plain base-10 integers in range (N >= 1 for
-// --ranks/--threads, N >= 0 for the millisecond flags); anything else is a
-// usage error.
+// Numeric values must be plain base-10 integers in range (1 <= N <= 1024
+// for --ranks, 1 <= N <= 256 for --threads, N >= 0 for the millisecond
+// flags); anything else is a usage error.
 //
 // Exit codes: 0 clean, 1 usage/compile error, 2 static warnings found,
 // 3 runtime error detected, 4 deadlock detected.
@@ -62,6 +62,10 @@
 #include <string_view>
 
 namespace {
+
+// Upper bounds of --ranks and --threads.
+constexpr int32_t kMaxRanks = 1024;
+constexpr int32_t kMaxThreads = 256;
 
 using namespace parcoach;
 
@@ -126,18 +130,19 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
   opts.command = argv[1];
   opts.file = argv[2];
   constexpr int32_t kIntMax = std::numeric_limits<int32_t>::max();
-  // Numeric flags: {prefix, destination, lowest accepted value}.
+  // Numeric flags: {prefix, destination, accepted range}. Every rank is an
+  // OS thread, and so is every team member, so their counts are capped.
   const struct {
     const char* prefix;
     int32_t* dest;
-    int32_t lo;
+    int32_t lo, hi;
   } numeric[] = {
-      {"--ranks=", &opts.ranks, 1},
-      {"--threads=", &opts.threads, 1},
-      {"--timeout-ms=", &opts.timeout_ms, 0},
-      {"--hang-timeout-ms=", &opts.timeout_ms, 0},
-      {"--soft-deadline-ms=", &opts.soft_deadline_ms, 0},
-      {"--hard-deadline-ms=", &opts.hard_deadline_ms, 0},
+      {"--ranks=", &opts.ranks, 1, kMaxRanks},
+      {"--threads=", &opts.threads, 1, kMaxThreads},
+      {"--timeout-ms=", &opts.timeout_ms, 0, kIntMax},
+      {"--hang-timeout-ms=", &opts.timeout_ms, 0, kIntMax},
+      {"--soft-deadline-ms=", &opts.soft_deadline_ms, 0, kIntMax},
+      {"--hard-deadline-ms=", &opts.hard_deadline_ms, 0, kIntMax},
   };
   for (int i = 3; i < argc; ++i) {
     const std::string a = argv[i];
@@ -148,8 +153,8 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
         std::begin(numeric), std::end(numeric),
         [&](const auto& f) { return a.rfind(f.prefix, 0) == 0; });
     if (flag != std::end(numeric)) {
-      if (!parse_number<int32_t>(a, value_of(flag->prefix), flag->lo, kIntMax,
-                                 *flag->dest))
+      if (!parse_number<int32_t>(a, value_of(flag->prefix), flag->lo,
+                                 flag->hi, *flag->dest))
         return false;
     } else if (a == "--no-verify") opts.verify = false;
     else if (a == "--taint-filter") opts.taint_filter = true;

@@ -72,8 +72,8 @@ struct CompileResult {
                                     std::string source, DiagnosticEngine& diags,
                                     const PipelineOptions& opts);
 
-/// Re-runs only the compile pipeline on an already-registered buffer (used
-/// by benches to measure repeatedly without re-registering sources).
+/// Runs the compile pipeline on an already-registered buffer, so one source
+/// can be compiled repeatedly without re-registering it.
 [[nodiscard]] CompileResult compile_buffer(const SourceManager& sm,
                                            int32_t file_id,
                                            DiagnosticEngine& diags,

@@ -3,6 +3,9 @@
 #include "frontend/lexer.h"
 #include "support/str.h"
 
+#include <algorithm>
+#include <optional>
+
 namespace parcoach::frontend {
 
 namespace {
@@ -43,15 +46,36 @@ private:
     eat();
     return true;
   }
+  /// After a fatal error the parse unwinds without consuming tokens, so a
+  /// missing token is a consequence of that error, not a new one.
   Token expect(Tok k, std::string_view what) {
     if (at(k)) return eat();
-    error(cur().loc, str::cat("expected ", to_string(k), " (", what, "), got '",
-                              cur().text, "'"));
+    if (!fatal_)
+      error(cur().loc, str::cat("expected ", to_string(k), " (", what,
+                                "), got '", cur().text, "'"));
     fatal_ = true;
     return cur();
   }
   void error(SourceLoc loc, std::string msg) {
     diags_.report(Severity::Error, DiagKind::ParseError, loc, std::move(msg));
+  }
+
+  /// One level of nesting for the lifetime of the object.
+  struct Nest {
+    explicit Nest(int32_t& d) : depth(d) { ++depth; }
+    ~Nest() { --depth; }
+    int32_t& depth;
+  };
+
+  /// False past Parser::kMaxNesting: reports the construct once at `loc` and
+  /// stops the parse, so later stages only ever see bounded depth.
+  bool within_limit(int32_t depth, SourceLoc loc) {
+    if (depth <= Parser::kMaxNesting) return true;
+    if (!fatal_)
+      error(loc, str::cat("nesting exceeds the limit of ", Parser::kMaxNesting,
+                          " levels"));
+    fatal_ = true;
+    return false;
   }
   void sync_to_func() {
     while (!at(Tok::End) && !at(Tok::KwFunc)) eat();
@@ -92,6 +116,8 @@ private:
 
   std::vector<StmtPtr> parse_block() {
     std::vector<StmtPtr> body;
+    Nest nest(depth_);
+    if (!within_limit(depth_, cur().loc)) return body;
     expect(Tok::LBrace, "block");
     while (!at(Tok::RBrace) && !at(Tok::End) && !fatal_) {
       if (auto s = parse_stmt()) body.push_back(std::move(s));
@@ -396,7 +422,9 @@ private:
     s->body = parse_block();
     if (accept(Tok::KwElse)) {
       if (at(Tok::KwIf)) {
-        s->else_body.push_back(parse_if());
+        Nest nest(depth_);
+        if (within_limit(depth_, cur().loc))
+          s->else_body.push_back(parse_if());
       } else {
         s->else_body = parse_block();
       }
@@ -550,89 +578,76 @@ private:
   }
 
   // -- Expressions (precedence climbing) --------------------------------------
-  ExprPtr parse_expr() { return parse_or(); }
+  //
+  // Each expression parse leaves the height of the tree it returns in
+  // expr_height_ (a leaf is 1). Operator chains are built in a loop, not by
+  // recursion, so their height is what keeps them within the nesting limit.
+  ExprPtr parse_expr() { return parse_binary(0); }
 
-  ExprPtr parse_or() {
-    ExprPtr lhs = parse_and();
-    while (at(Tok::OrOr)) {
-      const SourceLoc loc = eat().loc;
-      lhs = Expr::binary(ir::BinaryOp::Or, std::move(lhs), parse_and(), loc);
-    }
-    return lhs;
-  }
+  struct BinOp {
+    int level; // precedence, 0 = loosest; every level is left-associative
+    ir::BinaryOp op;
+  };
 
-  ExprPtr parse_and() {
-    ExprPtr lhs = parse_cmp();
-    while (at(Tok::AndAnd)) {
-      const SourceLoc loc = eat().loc;
-      lhs = Expr::binary(ir::BinaryOp::And, std::move(lhs), parse_cmp(), loc);
-    }
-    return lhs;
-  }
-
-  ExprPtr parse_cmp() {
-    ExprPtr lhs = parse_add();
-    for (;;) {
-      ir::BinaryOp op;
-      switch (cur().kind) {
-        case Tok::Lt: op = ir::BinaryOp::Lt; break;
-        case Tok::Le: op = ir::BinaryOp::Le; break;
-        case Tok::Gt: op = ir::BinaryOp::Gt; break;
-        case Tok::Ge: op = ir::BinaryOp::Ge; break;
-        case Tok::EqEq: op = ir::BinaryOp::Eq; break;
-        case Tok::Ne: op = ir::BinaryOp::Ne; break;
-        default: return lhs;
-      }
-      const SourceLoc loc = eat().loc;
-      lhs = Expr::binary(op, std::move(lhs), parse_add(), loc);
+  static std::optional<BinOp> binary_op(Tok k) {
+    using ir::BinaryOp;
+    switch (k) {
+      case Tok::OrOr: return BinOp{0, BinaryOp::Or};
+      case Tok::AndAnd: return BinOp{1, BinaryOp::And};
+      case Tok::Lt: return BinOp{2, BinaryOp::Lt};
+      case Tok::Le: return BinOp{2, BinaryOp::Le};
+      case Tok::Gt: return BinOp{2, BinaryOp::Gt};
+      case Tok::Ge: return BinOp{2, BinaryOp::Ge};
+      case Tok::EqEq: return BinOp{2, BinaryOp::Eq};
+      case Tok::Ne: return BinOp{2, BinaryOp::Ne};
+      case Tok::Plus: return BinOp{3, BinaryOp::Add};
+      case Tok::Minus: return BinOp{3, BinaryOp::Sub};
+      case Tok::Star: return BinOp{4, BinaryOp::Mul};
+      case Tok::Slash: return BinOp{4, BinaryOp::Div};
+      case Tok::Percent: return BinOp{4, BinaryOp::Mod};
+      default: return std::nullopt;
     }
   }
 
-  ExprPtr parse_add() {
-    ExprPtr lhs = parse_mul();
-    for (;;) {
-      ir::BinaryOp op;
-      if (at(Tok::Plus)) op = ir::BinaryOp::Add;
-      else if (at(Tok::Minus)) op = ir::BinaryOp::Sub;
-      else return lhs;
-      const SourceLoc loc = eat().loc;
-      lhs = Expr::binary(op, std::move(lhs), parse_mul(), loc);
-    }
-  }
-
-  ExprPtr parse_mul() {
+  /// Parses operands joined by operators of precedence `min_level` or
+  /// tighter.
+  ExprPtr parse_binary(int min_level) {
     ExprPtr lhs = parse_unary();
-    for (;;) {
-      ir::BinaryOp op;
-      if (at(Tok::Star)) op = ir::BinaryOp::Mul;
-      else if (at(Tok::Slash)) op = ir::BinaryOp::Div;
-      else if (at(Tok::Percent)) op = ir::BinaryOp::Mod;
-      else return lhs;
+    int32_t height = expr_height_;
+    for (std::optional<BinOp> b;
+         !fatal_ && (b = binary_op(cur().kind)) && b->level >= min_level;) {
       const SourceLoc loc = eat().loc;
-      lhs = Expr::binary(op, std::move(lhs), parse_unary(), loc);
+      ExprPtr rhs = parse_binary(b->level + 1);
+      height = 1 + std::max(height, expr_height_);
+      lhs = Expr::binary(b->op, std::move(lhs), std::move(rhs), loc);
+      if (!within_limit(depth_ + height - 1, loc)) break;
     }
+    expr_height_ = height;
+    return lhs;
   }
 
   ExprPtr parse_unary() {
-    if (at(Tok::Minus)) {
-      const SourceLoc loc = eat().loc;
-      return Expr::unary(ir::UnaryOp::Neg, parse_unary(), loc);
-    }
-    if (at(Tok::Not)) {
-      const SourceLoc loc = eat().loc;
-      return Expr::unary(ir::UnaryOp::Not, parse_unary(), loc);
-    }
-    return parse_primary();
+    if (!at(Tok::Minus) && !at(Tok::Not)) return parse_primary();
+    const ir::UnaryOp op = at(Tok::Minus) ? ir::UnaryOp::Neg : ir::UnaryOp::Not;
+    const SourceLoc loc = eat().loc;
+    Nest nest(depth_);
+    if (!within_limit(depth_, loc)) return Expr::int_lit(0, loc);
+    ExprPtr operand = parse_unary();
+    ++expr_height_;
+    return Expr::unary(op, std::move(operand), loc);
   }
 
   ExprPtr parse_primary() {
     const Token t = cur();
+    expr_height_ = 1;
     if (t.kind == Tok::Int) {
       eat();
       return Expr::int_lit(t.int_val, t.loc);
     }
     if (t.kind == Tok::LParen) {
       eat();
+      Nest nest(depth_);
+      if (!within_limit(depth_, t.loc)) return Expr::int_lit(0, t.loc);
       ExprPtr e = parse_expr();
       expect(Tok::RParen, "parenthesized expression");
       return e;
@@ -670,6 +685,8 @@ private:
   bool fatal_ = false;
   int32_t next_stmt_id_ = 0;
   int32_t next_region_id_ = 0;
+  int32_t depth_ = 0;       // open blocks, else-if arms, parens, unary ops
+  int32_t expr_height_ = 0; // height of the last expression parsed
 };
 
 } // namespace

@@ -41,6 +41,15 @@ namespace parcoach::frontend {
 
 class Parser {
 public:
+  /// Deepest nesting accepted. A block (a function body included), an
+  /// else-if arm, a parenthesis and an operator each open one level; a chain
+  /// such as `1 + 1 + 1` is as deep as its tree, two levels here. Deeper
+  /// input is a parse error at the construct that crosses the limit, so
+  /// sema, lowering and the engines never recurse further. 256 is clang's
+  /// bracket-depth default; under ASan a block level costs the parser about
+  /// 11 KB of stack, so an 8 MB stack overflows near 700 levels.
+  static constexpr int32_t kMaxNesting = 256;
+
   /// Parses one buffer into a Program. On syntax errors, reports diagnostics
   /// and returns what was parsed so far (callers must check diags).
   static Program parse(const SourceManager& sm, int32_t file_id,

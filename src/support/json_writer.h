@@ -1,12 +1,12 @@
-// Minimal streaming JSON writer shared by the bench emitters and the
-// trace/metrics exporters.
+// Minimal streaming JSON writer shared by the e2e benchmark's result file and
+// the trace/metrics exporters.
 //
 // Comma placement and nesting are tracked by a container stack, so callers
 // never hand-manage separators; strings are escaped per RFC 8259 (the
 // hand-rolled emitters this replaces interpolated raw strings). Output is
-// pretty-printed (two-space indent) by default — the bench JSON files are
-// read by humans in CI logs — or compact for large machine-only payloads
-// like Chrome traces.
+// pretty-printed (two-space indent) by default — the benchmark's result
+// JSON is read by humans in CI logs — or compact for large machine-only
+// payloads like Chrome traces.
 #pragma once
 
 #include <cmath>
@@ -74,8 +74,8 @@ public:
   JsonWriter& value(int v) { return value(static_cast<int64_t>(v)); }
   JsonWriter& value(unsigned v) { return value(static_cast<uint64_t>(v)); }
 
-  /// `fixed_precision` >= 0 renders std::fixed with that many decimals (the
-  /// bench emitters' historical formats); -1 uses the default float format.
+  /// `fixed_precision` >= 0 renders std::fixed with that many decimals; -1
+  /// uses the default float format.
   /// Non-finite values render as 0 — JSON has no NaN/Infinity.
   JsonWriter& value(double v, int fixed_precision = -1) {
     begin_value();

@@ -1,6 +1,8 @@
 # Runs the CLI with malformed numeric flags: each must print the usage
 # message and exit 1 (the documented usage-error code), never abort. The
-# usage message also names --match-sequences, which the header documents.
+# --ranks and --threads caps are checked before any thread is created, so
+# the over-cap cases start none. The usage message also names
+# --match-sequences, which the header documents.
 #
 #   cmake -DCLI=path/to/parcoachmt_cli -DSOURCE_DIR=path/to/repo -P cli_flags.cmake
 set(program "${SOURCE_DIR}/tests/cli_flags_program.mhpc")
@@ -11,6 +13,8 @@ set(bad_flags
     --hard-deadline-ms=-1
     --ranks=0
     --ranks=99999999999
+    --ranks=1025
+    --threads=257
     --threads=2x
     --fault-seed=-3
     --fault-seed=18446744073709551616)

@@ -1,12 +1,14 @@
 // Unit tests: deterministic fault injection — plan parsing, rank-crash
 // propagation with precise diagnostics on both the direct API and both
 // execution engines, abort robustness (concurrent / double / mid-split),
-// the watchdog escalation ladder, and mpi_abort language semantics.
+// the watchdog escalation ladder, mpi_abort language semantics, and the
+// zero-overhead-when-off contract as exact hook counts.
 #include "support/fault.h"
 
 #include "driver/pipeline.h"
 #include "interp/executor.h"
 #include "simmpi/world.h"
+#include "support/str.h"
 
 #include <gtest/gtest.h>
 
@@ -441,6 +443,73 @@ TEST(FaultEngines, DelayJitterPctPlanKeepsCleanProgramClean) {
         << to_string(engine) << ": " << faulty->result.mpi.abort_reason;
     ASSERT_EQ(faulty->result.output.size(), 2u) << to_string(engine);
     EXPECT_EQ(faulty->result.output[0], "rank 0: 4");
+  }
+}
+
+// ---- Zero overhead when off: exact hook counts ------------------------------
+//
+// Every component caches FaultInjector::effective(), so a disabled injector is
+// never reached and an idle one costs exactly one count per collective
+// arrival. Both contracts are checked by counts, not timings, on the
+// funneled-barrier kernel: 2 ranks x 2 threads, where each team's master
+// calls mpi_barrier between two team barriers.
+
+constexpr int kFunneledIters = 150;
+// Rank 0's collective arrivals: one mpi_barrier per iteration, then
+// mpi_finalize.
+constexpr uint64_t kFunneledArrivals = kFunneledIters + 1;
+
+std::string funneled_barrier() {
+  return str::cat("func main() {\n  mpi_init(serialized);\n"
+                  "  for (r = 0 to ", kFunneledIters, ") {\n"
+                  "    omp parallel num_threads(2) {\n"
+                  "      omp barrier;\n"
+                  "      omp master {\n"
+                  "        mpi_barrier();\n"
+                  "      }\n"
+                  "      omp barrier;\n"
+                  "    }\n"
+                  "  }\n  mpi_finalize();\n}\n");
+}
+
+TEST(FaultOff, DisabledInjectorIsNeverReached) {
+  // Armed to fire at rank 0's first arrival. should_crash does not check
+  // `enabled`, so any hook that bypasses effective() fires the crash.
+  FaultPlan plan;
+  plan.enabled = false;
+  plan.crash_rank = 0;
+  plan.crash_at = 0;
+  for (const auto engine : {interp::Engine::Ast, interp::Engine::Bytecode}) {
+    FaultInjector inj(plan, 2);
+    auto r = run_engine(funneled_barrier(), engine, &inj);
+    EXPECT_TRUE(r->result.clean)
+        << to_string(engine) << ": " << r->result.mpi.abort_reason;
+    EXPECT_EQ(inj.crashes_fired(), 0u) << to_string(engine);
+  }
+}
+
+TEST(FaultOff, IdleInjectorCountsEachCollectiveArrivalOnce) {
+  for (const auto engine : {interp::Engine::Ast, interp::Engine::Bytecode}) {
+    // The last arrival is the crash site: every earlier one counted once.
+    FaultPlan last;
+    last.crash_rank = 0;
+    last.crash_at = kFunneledArrivals - 1;
+    FaultInjector fires(last, 2);
+    auto r = run_engine(funneled_barrier(), engine, &fires);
+    EXPECT_TRUE(r->result.mpi.aborted) << to_string(engine);
+    EXPECT_EQ(r->result.mpi.abort_reason,
+              "rank 0 died in MPI_Finalize @MPI_COMM_WORLD")
+        << to_string(engine);
+    EXPECT_EQ(fires.crashes_fired(), 1u) << to_string(engine);
+
+    // One past the last arrival is never reached.
+    FaultPlan beyond = last;
+    beyond.crash_at = kFunneledArrivals;
+    FaultInjector idle(beyond, 2);
+    auto clean = run_engine(funneled_barrier(), engine, &idle);
+    EXPECT_TRUE(clean->result.clean)
+        << to_string(engine) << ": " << clean->result.mpi.abort_reason;
+    EXPECT_EQ(idle.crashes_fired(), 0u) << to_string(engine);
   }
 }
 

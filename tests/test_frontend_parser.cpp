@@ -1,6 +1,9 @@
-// Unit tests: MiniHPC parser — AST shapes, ids, round-tripping, errors.
+// Unit tests: MiniHPC parser — AST shapes, ids, round-tripping, errors, and
+// the nesting limit that keeps deep input from overflowing the stack.
 #include "frontend/parser.h"
 
+#include "driver/pipeline.h"
+#include "interp/executor.h"
 #include "support/str.h"
 
 #include <gtest/gtest.h>
@@ -249,6 +252,99 @@ TEST(Parser, SectionsRequireAtLeastOneSection) {
 
 TEST(Parser, BarrierCollectiveCannotProduceValue) {
   EXPECT_GE(parse_errors("func f() { var x = mpi_barrier(); }"), 1u);
+}
+
+// ---- Nesting limit ---------------------------------------------------------
+
+std::string repeat(std::string_view s, int32_t n) {
+  std::string out;
+  out.reserve(s.size() * static_cast<size_t>(n));
+  for (int32_t i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+/// Parses `src` as deep.mh; expects exactly one error and returns its text.
+std::string single_parse_error(const std::string& src) {
+  SourceManager sm;
+  DiagnosticEngine d;
+  Parser::parse_source(sm, "deep.mh", src, d);
+  EXPECT_EQ(d.count(Severity::Error), 1u);
+  return d.to_text(sm);
+}
+
+TEST(ParserLimits, DeepNestingIsADiagnosticNotACrash) {
+  constexpr int32_t kDeep = 100000;
+  const std::string limit =
+      str::cat("error [parse] nesting exceeds the limit of ",
+               Parser::kMaxNesting, " levels");
+  // The paren that opens level kMaxNesting + 1 (the function body is level
+  // 1); "  var x = " is 10 columns wide.
+  EXPECT_TRUE(str::contains(
+      single_parse_error(str::cat("func f() {\n  var x = ",
+                                  repeat("(", kDeep), "1", repeat(")", kDeep),
+                                  ";\n}\n")),
+      str::cat("deep.mh:2:", 10 + Parser::kMaxNesting, ": ", limit)));
+  // One `if (1) {` per line: the block on line kMaxNesting + 1 crosses.
+  EXPECT_TRUE(str::contains(
+      single_parse_error(str::cat("func f() {\n", repeat("if (1) {\n", kDeep),
+                                  repeat("}\n", kDeep), "}\n")),
+      str::cat("deep.mh:", Parser::kMaxNesting + 1, ":8: ", limit)));
+  // Shapes that nest without a block or a paren are bounded too.
+  EXPECT_TRUE(str::contains(
+      single_parse_error(str::cat("func f() {\n  var x = ", repeat("-", kDeep),
+                                  "1;\n}\n")),
+      limit));
+  EXPECT_TRUE(str::contains(
+      single_parse_error(str::cat("func f() {\n  var x = 1",
+                                  repeat(" + 1", kDeep), ";\n}\n")),
+      limit));
+  EXPECT_TRUE(str::contains(
+      single_parse_error(str::cat("func f() {\n  if (1) {\n  }",
+                                  repeat(" else if (1) {\n  }", kDeep),
+                                  "\n}\n")),
+      limit));
+}
+
+/// Compiles `src` with verification codegen and runs it on both engines.
+void expect_clean_on_both_engines(const std::string& src,
+                                  const std::vector<std::string>& output) {
+  SourceManager sm;
+  DiagnosticEngine diags;
+  const auto c = driver::compile(sm, "at_limit.mh", src, diags, {});
+  ASSERT_TRUE(c.ok) << diags.to_text(sm);
+  EXPECT_EQ(diags.size(), 0u) << diags.to_text(sm);
+  for (const auto engine : {interp::Engine::Ast, interp::Engine::Bytecode}) {
+    interp::Executor exec(c.program, sm, &c.plan);
+    interp::ExecOptions eopts;
+    eopts.engine = engine;
+    const auto r = exec.run(eopts);
+    EXPECT_TRUE(r.clean) << to_string(engine) << ": " << r.mpi.abort_reason;
+    EXPECT_EQ(r.output, output) << to_string(engine);
+  }
+}
+
+TEST(ParserLimits, ProgramsAtTheLimitRunCleanOnBothEngines) {
+  // The function body and kMaxNesting - 1 nested ifs: the innermost block is
+  // at the limit, so it holds no operator.
+  const int32_t ifs = Parser::kMaxNesting - 1;
+  expect_clean_on_both_engines(
+      str::cat("func main() {\n  mpi_init(single);\n  var n = size();\n",
+               repeat("  if (n > 0) {\n", ifs), "  print(n);\n",
+               repeat("  }\n", ifs), "  mpi_finalize();\n}\n"),
+      {"rank 0: 2", "rank 1: 2"});
+
+  // Blocks and parens share the budget: half the levels each.
+  const int32_t half = Parser::kMaxNesting / 2;
+  auto mixed = [&](int32_t parens) {
+    return str::cat("func main() {\n  mpi_init(single);\n  var n = size();\n",
+                    repeat("  if (n > 0) {\n", half - 1), "  var y = ",
+                    repeat("(", parens), "n", repeat(")", parens),
+                    ";\n  print(y + 1);\n", repeat("  }\n", half - 1),
+                    "  mpi_finalize();\n}\n");
+  };
+  expect_clean_on_both_engines(mixed(Parser::kMaxNesting - half),
+                               {"rank 0: 3", "rank 1: 3"});
+  EXPECT_GE(parse_errors(mixed(Parser::kMaxNesting - half + 1)), 1u);
 }
 
 } // namespace

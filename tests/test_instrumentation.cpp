@@ -1,8 +1,11 @@
-// Unit tests: selective instrumentation planning and IR materialization.
+// Unit tests: selective instrumentation planning, IR materialization, and
+// the per-comm-class arming matrix's exact CC counts at runtime.
 #include "core/instrumentation.h"
+#include "driver/pipeline.h"
 #include "frontend/lowering.h"
 #include "frontend/parser.h"
 #include "frontend/sema.h"
+#include "interp/executor.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
 #include "support/str.h"
@@ -367,6 +370,103 @@ TEST(ArmingMatrix, DivergenceAttributionNamesClasses) {
   EXPECT_TRUE(call_div);
   EXPECT_EQ(r->alg1.divergent_classes, (std::vector<std::string>{""}));
   EXPECT_GT(r->alg1.labels_interned, 0u);
+}
+
+// ---- The arming matrix at runtime ------------------------------------------
+//
+// A clean communicator (world, or three dups) carries a 150-iteration loop
+// while a dirty dup is statically flagged: a rank-dependent conditional whose
+// branches run the same allreduce on it, so Algorithm 1 flags its class but
+// the program runs clean. With the rank-taint filter the loop's classes stay
+// unarmed. cc_piggybacked counts the CC agreements executed under each plan.
+
+const std::string kDirtySubcomm =
+    "  if (rank() >= 0) {\n"
+    "    x = mpi_allreduce(x, sum, d);\n"
+    "  } else {\n"
+    "    x = mpi_allreduce(x, sum, d);\n"
+    "  }\n";
+
+struct ArmingRun {
+  size_t sites = 0;
+  size_t sites_armed = 0;
+  uint64_t cc_none = 0;
+  uint64_t cc_selective = 0;
+  uint64_t cc_programwide = 0;
+};
+
+ArmingRun run_arming(const std::string& src) {
+  SourceManager sm;
+  DiagnosticEngine diags;
+  driver::PipelineOptions opts;
+  opts.algorithm1.rank_taint_filter = true;
+  const auto c = driver::compile(sm, "t", src, diags, opts);
+  EXPECT_TRUE(c.ok) << diags.to_text(sm);
+  const auto programwide =
+      make_programwide_plan(*c.module, c.phases, c.algorithm1);
+  auto cc_rounds = [&](const InstrumentationPlan* plan) {
+    interp::Executor exec(c.program, sm, plan);
+    interp::ExecOptions eopts;
+    eopts.num_ranks = 2;
+    eopts.num_threads = 1;
+    eopts.mpi.hang_timeout = std::chrono::milliseconds(5000);
+    const auto result = exec.run(eopts);
+    EXPECT_TRUE(result.clean) << result.mpi.abort_reason;
+    return result.mpi.cc_piggybacked;
+  };
+  ArmingRun r;
+  r.sites = c.plan.total_collective_sites;
+  r.sites_armed = c.plan.cc_stmts.size();
+  r.cc_none = cc_rounds(nullptr);
+  r.cc_selective = cc_rounds(&c.plan);
+  r.cc_programwide = cc_rounds(&programwide);
+  return r;
+}
+
+TEST(ArmingMatrix, CleanWorldLoopRunsNoCcUnderTheSelectivePlan) {
+  const auto r = run_arming(str::cat(
+      "func main() {\n  mpi_init(single);\n"
+      "  var d = mpi_comm_dup();\n  var x = rank() + 1;\n",
+      kDirtySubcomm,
+      "  for (r = 0 to 150) {\n"
+      "    x = mpi_allreduce(x, sum);\n"
+      "  }\n"
+      "  mpi_comm_free(d);\n  mpi_finalize();\n}\n"));
+  // Sites: dup, the two dirty allreduces, the loop's allreduce, finalize.
+  EXPECT_EQ(r.sites, 5u);
+  EXPECT_EQ(r.sites_armed, 2u);
+  EXPECT_EQ(r.cc_none, 0u);
+  // Only the dirty allreduce is checked.
+  EXPECT_EQ(r.cc_selective, 1u);
+  // Every collective: dup, dirty allreduce, 150 loop allreduces, finalize
+  // and the exit sentinel.
+  EXPECT_EQ(r.cc_programwide, 154u);
+}
+
+TEST(ArmingMatrix, CleanSubcommLoopsRunNoCcUnderTheSelectivePlan) {
+  const auto r = run_arming(str::cat(
+      "func main() {\n  mpi_init(single);\n"
+      "  var a = mpi_comm_dup();\n  var b = mpi_comm_dup();\n"
+      "  var c = mpi_comm_dup();\n  var d = mpi_comm_dup();\n"
+      "  var x = rank() + 1;\n",
+      kDirtySubcomm,
+      "  for (r = 0 to 150) {\n"
+      "    x = mpi_allreduce(x, sum, a);\n"
+      "    x = mpi_allreduce(x, sum, b);\n"
+      "    x = mpi_allreduce(x, sum, c);\n"
+      "  }\n"
+      "  mpi_comm_free(a);\n  mpi_comm_free(b);\n"
+      "  mpi_comm_free(c);\n  mpi_comm_free(d);\n"
+      "  mpi_finalize();\n}\n"));
+  // Sites: four dups, the two dirty allreduces, three loop allreduces,
+  // finalize.
+  EXPECT_EQ(r.sites, 10u);
+  EXPECT_EQ(r.sites_armed, 2u);
+  EXPECT_EQ(r.cc_none, 0u);
+  EXPECT_EQ(r.cc_selective, 1u);
+  // Four dups, dirty allreduce, 3 x 150 loop allreduces, finalize and the
+  // exit sentinel.
+  EXPECT_EQ(r.cc_programwide, 457u);
 }
 
 TEST(Plan, CheckCountReflectsSelectivity) {

@@ -1,7 +1,8 @@
 // Unit tests: the observability layer — flight-recorder ring buffers, the
 // metrics registry, the shared JSON writer, and the Chrome trace-event
 // export (schema-validated with a minimal JSON parser, so a regression that
-// breaks Perfetto loading fails here instead of in someone's browser).
+// breaks Perfetto loading fails here instead of in someone's browser), and
+// the zero-overhead-when-off contract as an exact event count.
 #include "driver/pipeline.h"
 #include "interp/executor.h"
 #include "support/json_writer.h"
@@ -362,7 +363,9 @@ private:
 interp::ExecResult run_traced(const std::string& name,
                               const std::string& source, Tracer& tracer,
                               MetricsRegistry* metrics, int32_t ranks,
-                              int32_t threads, int32_t timeout_ms) {
+                              int32_t threads, int32_t timeout_ms,
+                              interp::Engine engine =
+                                  interp::Engine::Bytecode) {
   SourceManager sm;
   DiagnosticEngine diags;
   driver::PipelineOptions popts;
@@ -373,10 +376,49 @@ interp::ExecResult run_traced(const std::string& name,
   interp::ExecOptions eopts;
   eopts.num_ranks = ranks;
   eopts.num_threads = threads;
+  eopts.engine = engine;
   eopts.mpi.hang_timeout = std::chrono::milliseconds(timeout_ms);
   eopts.tracer = &tracer;
   eopts.metrics = metrics;
   return exec.run(eopts);
+}
+
+// ---- Zero overhead when off ------------------------------------------------
+
+// The funneled-barrier kernel: 2 ranks x 2 threads, each team's master calls
+// mpi_barrier between two team barriers, so both engines, the team runtime
+// and the slot engine all pass their emit points on every iteration.
+constexpr const char* kFunneledBarrier = R"(func main() {
+  mpi_init(serialized);
+  for (r = 0 to 150) {
+    omp parallel num_threads(2) {
+      omp barrier;
+      omp master {
+        mpi_barrier();
+      }
+      omp barrier;
+    }
+  }
+  mpi_finalize();
+})";
+
+TEST(TraceOff, DisabledTracerIsNeverReached) {
+  // Tracer::emit does not check `enabled`, so any emit point that bypasses
+  // Tracer::effective() records events.
+  for (const auto engine : {interp::Engine::Ast, interp::Engine::Bytecode}) {
+    Tracer off(Tracer::Options{/*enabled=*/false});
+    const auto result = run_traced("funneled_barrier", kFunneledBarrier, off,
+                                   nullptr, 2, 2, 5000, engine);
+    EXPECT_TRUE(result.clean)
+        << to_string(engine) << ": " << result.mpi.abort_reason;
+    EXPECT_EQ(off.events_captured(), 0u) << to_string(engine);
+
+    // The same kernel under an enabled tracer does reach the emit points.
+    Tracer on;
+    run_traced("funneled_barrier", kFunneledBarrier, on, nullptr, 2, 2, 5000,
+               engine);
+    EXPECT_GT(on.events_captured(), 0u) << to_string(engine);
+  }
 }
 
 TEST(TraceExport, NpbMzChromeTraceIsSchemaValid) {
