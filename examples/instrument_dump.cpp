@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   std::cout << "\n=== bytecode (baseline encoding) ===\n"
             << interp::disassemble(bc);
   interp::run_passes(bc, {});
-  std::cout << "=== bytecode (optimized: fuse + regalloc) ===\n"
+  std::cout << "=== bytecode (optimized: fuse) ===\n"
             << interp::disassemble(bc);
   return 0;
 }

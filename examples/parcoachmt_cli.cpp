@@ -23,11 +23,9 @@
 //   --engine=NAME       execution engine for `run`: bytecode (default, the
 //                       register VM) or ast (the tree-walking oracle)
 //   --dump-bytecode     print the bytecode listing for `run`/`instrument`,
-//                       both the baseline encoding and the optimized form
-//                       after the pass pipeline
-//   --no-fuse / --no-regalloc
-//                       disable one bytecode optimization pass (bisection
-//                       aid; affects `run` and --dump-bytecode)
+//                       both the baseline encoding and the fused form
+//   --no-fuse           disable bytecode peephole fusion (bisection aid;
+//                       affects `run` and --dump-bytecode)
 //   --trace=FILE        record a flight-recorder trace of `run` and export
 //                       it as Chrome trace-event JSON (load in Perfetto)
 //   --metrics-json=FILE dump the runtime metrics registry as JSON after `run`
@@ -46,6 +44,7 @@
 #include "driver/pipeline.h"
 #include "driver/report.h"
 #include "interp/executor.h"
+#include "miniomp/team.h"
 #include "support/fault.h"
 #include "support/metrics.h"
 #include "support/str.h"
@@ -63,9 +62,9 @@
 
 namespace {
 
-// Upper bounds of --ranks and --threads.
+// Upper bound of --ranks; --threads is bounded by miniomp::kMaxThreads, the
+// cap on a program's own num_threads clause too.
 constexpr int32_t kMaxRanks = 1024;
-constexpr int32_t kMaxThreads = 256;
 
 using namespace parcoach;
 
@@ -100,8 +99,7 @@ int usage() {
                " [--hang-timeout-ms=N] [--soft-deadline-ms=N]"
                " [--hard-deadline-ms=N] [--type-only-cc]"
                " [--engine=bytecode|ast] [--dump-bytecode] [--no-fuse]"
-               " [--no-regalloc] [--trace=FILE]"
-               " [--metrics-json=FILE]"
+               " [--trace=FILE] [--metrics-json=FILE]"
                " [--fault-seed=N] [--fault-plan=FILE] [--timings]\n";
   return 1;
 }
@@ -138,7 +136,7 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
     int32_t lo, hi;
   } numeric[] = {
       {"--ranks=", &opts.ranks, 1, kMaxRanks},
-      {"--threads=", &opts.threads, 1, kMaxThreads},
+      {"--threads=", &opts.threads, 1, miniomp::kMaxThreads},
       {"--timeout-ms=", &opts.timeout_ms, 0, kIntMax},
       {"--hang-timeout-ms=", &opts.timeout_ms, 0, kIntMax},
       {"--soft-deadline-ms=", &opts.soft_deadline_ms, 0, kIntMax},
@@ -165,7 +163,6 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
     else if (a == "--engine=ast") opts.engine = interp::Engine::Ast;
     else if (a == "--dump-bytecode") opts.dump_bytecode = true;
     else if (a == "--no-fuse") opts.passes.fuse = false;
-    else if (a == "--no-regalloc") opts.passes.regalloc = false;
     else if (a.rfind("--trace=", 0) == 0) opts.trace_path = value_of("--trace=");
     else if (a.rfind("--metrics-json=", 0) == 0)
       opts.metrics_path = value_of("--metrics-json=");
@@ -187,9 +184,8 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
          opts.command == "run";
 }
 
-/// --dump-bytecode: prints the baseline encoding next to the optimized form
-/// so a fusion or register-allocation rewrite can be inspected (and bisected with the
-/// --no-* pass switches).
+/// --dump-bytecode: prints the baseline encoding next to the fused form so a
+/// fusion rewrite can be inspected (and bisected with --no-fuse).
 void dump_bytecode(const driver::CompileResult& compiled,
                    const SourceManager& sm,
                    const core::InstrumentationPlan* plan,
@@ -198,8 +194,8 @@ void dump_bytecode(const driver::CompileResult& compiled,
   std::cout << "=== bytecode (baseline encoding) ===\n"
             << interp::disassemble(bc);
   interp::run_passes(bc, passes);
-  std::cout << "=== bytecode (after passes: fuse=" << (passes.fuse ? "on" : "off")
-            << " regalloc=" << (passes.regalloc ? "on" : "off") << ") ===\n"
+  std::cout << "=== bytecode (after passes: fuse="
+            << (passes.fuse ? "on" : "off") << ") ===\n"
             << interp::disassemble(bc);
 }
 

@@ -1,21 +1,18 @@
-// Post-compile optimization passes over interp::BcProgram (see bytecode.h).
+// The post-compile optimization pass over interp::BcProgram (see
+// bytecode.h).
 //
 // The baseline encoder (bytecode.cpp) stays a simple one-pass compiler; the
-// speed comes from two passes applied here, in order:
-//
-//   1. Peephole fusion ("superinstructions"): rewrites the hot adjacent
-//      shapes of interpreter-bound code — Const/Load operands
-//      folded into arithmetic (the RI/LL/LI/RL blocks), guard compares
-//      (Load+JnXX -> JnXX_LI/LL), loop back-edges (Store+Jump ->
-//      StoreJump), and store forms (Const+Store -> StoreImm, Load+Store ->
-//      MovSS, Decl+StoreImm -> DeclImm). Every rewrite deletes at least one
-//      instruction, so iterating to fixpoint terminates.
-//   2. Register allocation: linear scan over the encoder's virtual
-//      registers with live-interval reuse, shrinking Frame::regs to what
-//      the fused code still touches.
+// speed comes from peephole fusion ("superinstructions") applied here. It
+// rewrites the hot adjacent shapes of interpreter-bound code — Const/Load
+// operands folded into arithmetic (the RI/LL/LI/RL blocks), guard compares
+// (Load+JnXX -> JnXX_LI/LL), loop back-edges (Store+Jump -> StoreJump), and
+// store forms (Const+Store -> StoreImm, Load+Store -> MovSS,
+// Decl+StoreImm -> DeclImm). Every rewrite deletes at least one
+// instruction, so iterating to fixpoint terminates. Registers keep the
+// encoder's numbering.
 //
 // Safety rules the fuser lives by (the AST-oracle differential and the
-// pass-combination property test enforce them):
+// fused/unfused property test enforce them):
 //   - producers must be physically adjacent to their consumer, and neither
 //     the consumer nor any later producer may be a jump target — the target
 //     set includes every OpenMP body begin/end, which also forbids fusing
@@ -225,7 +222,7 @@ std::vector<bool> targets_of(BcProgram& p, BcFunction& fn) {
   return t;
 }
 
-// ---- Pass 1: peephole superinstruction fusion -------------------------------
+// ---- Peephole superinstruction fusion ---------------------------------------
 
 /// Rewrites dead instructions out of `fn.code` and remaps every jump target
 /// and body range. A deleted position maps to the next surviving
@@ -420,100 +417,11 @@ void fuse_function(BcProgram& p, BcFunction& fn) {
   }
 }
 
-// ---- Pass 2: linear-scan register allocation --------------------------------
-
-/// Reassigns the encoder's virtual registers by live interval. Intervals are
-/// [first, last] occurrence, then widened to cover every backward-jump span
-/// and structured-body range they intersect: a register that crosses a loop
-/// back-edge or lives inside a re-executable body must keep its slot for the
-/// whole span (loop-carried For counters, worksharing re-runs). The scan
-/// then reuses expired registers, shrinking Frame::regs to the fused code's
-/// real working set.
-void regalloc_function(BcProgram& p, BcFunction& fn) {
-  const int32_t nr = fn.num_regs;
-  if (nr <= 0) return;
-  const int32_t n = static_cast<int32_t>(fn.code.size());
-  std::vector<int32_t> lo(static_cast<size_t>(nr), -1);
-  std::vector<int32_t> hi(static_cast<size_t>(nr), -1);
-  for (int32_t i = 0; i < n; ++i)
-    for_each_reg(p, fn.code[static_cast<size_t>(i)], [&](int32_t& r, bool) {
-      if (r < 0) return;
-      if (lo[static_cast<size_t>(r)] < 0) lo[static_cast<size_t>(r)] = i;
-      hi[static_cast<size_t>(r)] = i;
-    });
-
-  std::vector<std::pair<int32_t, int32_t>> spans; // inclusive [s, e]
-  for (int32_t i = 0; i < n; ++i)
-    for_each_target(fn.code[static_cast<size_t>(i)], [&](int32_t& t) {
-      if (t >= 0 && t <= i) spans.emplace_back(t, i); // backward jump
-    });
-  for_each_body(p, fn, [&](OmpSite& st) {
-    if (st.body.begin < st.body.end)
-      spans.emplace_back(static_cast<int32_t>(st.body.begin),
-                         static_cast<int32_t>(st.body.end) - 1);
-  });
-  bool grew = true;
-  while (grew) {
-    grew = false;
-    for (const auto& [s, e] : spans)
-      for (int32_t r = 0; r < nr; ++r) {
-        auto& l = lo[static_cast<size_t>(r)];
-        auto& h = hi[static_cast<size_t>(r)];
-        if (l < 0 || l > e || h < s) continue;
-        if (l > s) { l = s; grew = true; }
-        if (h < e) { h = e; grew = true; }
-      }
-  }
-
-  std::vector<int32_t> order;
-  for (int32_t r = 0; r < nr; ++r)
-    if (lo[static_cast<size_t>(r)] >= 0) order.push_back(r);
-  std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
-    const int32_t la = lo[static_cast<size_t>(a)], lb = lo[static_cast<size_t>(b)];
-    return la != lb ? la < lb : a < b;
-  });
-
-  std::vector<int32_t> map(static_cast<size_t>(nr), -1);
-  std::vector<std::pair<int32_t, int32_t>> active; // (interval end, phys reg)
-  std::vector<int32_t> pool;
-  int32_t next = 0;
-  for (int32_t r : order) {
-    const int32_t start = lo[static_cast<size_t>(r)];
-    for (size_t j = 0; j < active.size();) {
-      if (active[j].first < start) {
-        pool.push_back(active[j].second);
-        active[j] = active.back();
-        active.pop_back();
-      } else {
-        ++j;
-      }
-    }
-    int32_t phys;
-    if (pool.empty()) {
-      phys = next++;
-    } else {
-      const auto it = std::min_element(pool.begin(), pool.end());
-      phys = *it;
-      pool.erase(it);
-    }
-    map[static_cast<size_t>(r)] = phys;
-    active.emplace_back(hi[static_cast<size_t>(r)], phys);
-  }
-
-  for (BcInstr& I : fn.code)
-    for_each_reg(p, I, [&](int32_t& r, bool) {
-      if (r >= 0) r = map[static_cast<size_t>(r)];
-    });
-  fn.num_regs = next;
-}
-
 } // namespace
 
 void run_passes(BcProgram& p, const BcPassOptions& opts) {
-  for (BcFunction& fn : p.funcs) {
-    if (opts.fuse) fuse_function(p, fn);
-    if (opts.regalloc) regalloc_function(p, fn);
-  }
+  if (!opts.fuse) return;
+  for (BcFunction& fn : p.funcs) fuse_function(p, fn);
 }
 
 } // namespace parcoach::interp

@@ -308,7 +308,9 @@ private:
         const int32_t rv = c_expr(*s.mpi_value);
         const int32_t rd = c_expr(*s.mpi_root);
         const int32_t rt = c_expr(*s.hi);
-        emit(Op::MpiSend, rv, rd, rt);
+        MpiSite st; // locates the destination check's diagnostic
+        st.stmt = &s;
+        emit(Op::MpiSend, rv, rd, rt, add_mpi_site(std::move(st)));
         return;
       }
       case StmtKind::MpiRecv: {

@@ -139,19 +139,18 @@ struct BcProgram {
                                 const SourceManager& sm,
                                 const core::InstrumentationPlan* plan);
 
-/// Off-switches for the post-compile optimization passes. All on by default;
-/// the property/differential tests run every combination, and the CLI
-/// exposes them (--no-fuse etc.) for bisecting a suspect pass.
+/// Off-switch for the post-compile optimization pass. On by default; the
+/// property/differential tests run both settings, and the CLI exposes it
+/// (--no-fuse) for bisecting a suspect rewrite.
 struct BcPassOptions {
-  bool regalloc = true; // linear-scan temporary-register reallocation
-  bool fuse = true;     // peephole superinstruction fusion
+  bool fuse = true; // peephole superinstruction fusion
 };
 
-/// Rewrites `p` in place through the optimization pipeline: peephole fusion
-/// (superinstructions over the hot Load/Const/compare/store shapes), then
-/// linear-scan register allocation (live-interval reuse of the one-pass
-/// encoder's virtual registers; frame-slot arrays stay the variable ABI). Each pass preserves the AST-oracle semantics exactly — the corpus
-/// differential holds every pass combination to byte-identical outcomes.
+/// Rewrites `p` in place through peephole fusion (superinstructions over the
+/// hot Load/Const/compare/store shapes). Registers keep the one-pass encoder's
+/// numbering; frame-slot arrays stay the variable ABI. The pass preserves the
+/// AST-oracle semantics exactly — the corpus differential holds fused and
+/// unfused code to byte-identical outcomes.
 void run_passes(BcProgram& p, const BcPassOptions& opts = {});
 
 /// Human-readable listing (tests, --dump-bytecode, debugging).

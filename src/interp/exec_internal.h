@@ -155,6 +155,37 @@ inline int64_t mod_or_fault(int64_t a, int64_t b) {
   arith_fault("modulo by zero");
 }
 
+/// Operand checks both engines make on the int64, before it narrows, so an
+/// out-of-range value is a rank error naming the statement, byte-identical
+/// on either engine: never an index past simmpi's buffers, a wrap onto a
+/// valid rank or a team of billions. The throws stay out of line.
+[[noreturn, gnu::noinline, gnu::cold]] inline void rank_operand_fault(
+    int64_t v, int32_t size, const char* what, const SourceManager& sm,
+    SourceLoc loc) {
+  throw EvalError(str::cat(what, " ", v, " is outside [0, ", size, ") at ",
+                           sm.describe(loc)));
+}
+[[noreturn, gnu::noinline, gnu::cold]] inline void team_size_fault(
+    int64_t n, const SourceManager& sm, SourceLoc loc) {
+  throw EvalError(str::cat("num_threads(", n, ") exceeds the limit of ",
+                           miniomp::kMaxThreads, " at ", sm.describe(loc)));
+}
+/// A collective root (against its communicator's size) or a send/recv peer
+/// (against the world's).
+inline int32_t checked_rank(int64_t v, int32_t size, const char* what,
+                            const SourceManager& sm, SourceLoc loc) {
+  if (v < 0 || v >= size) [[unlikely]]
+    rank_operand_fault(v, size, what, sm, loc);
+  return static_cast<int32_t>(v);
+}
+/// A num_threads(n) clause: n < 1 runs a team of one.
+inline int32_t checked_team_size(int64_t n, const SourceManager& sm,
+                                 SourceLoc loc) {
+  if (n > miniomp::kMaxThreads) [[unlikely]]
+    team_size_fault(n, sm, loc);
+  return n < 1 ? 1 : static_cast<int32_t>(n);
+}
+
 // Bytecode-engine entry point (vm.cpp).
 struct BcProgram;
 

@@ -205,9 +205,12 @@ private:
       }
       case StmtKind::MpiSend: {
         const int64_t value = eval(*s.mpi_value, env, ts);
-        const int32_t dest = static_cast<int32_t>(eval(*s.mpi_root, env, ts));
+        const int64_t dest = eval(*s.mpi_root, env, ts);
         const int32_t tag = static_cast<int32_t>(eval(*s.hi, env, ts));
-        rank_.send(value, dest, tag);
+        rank_.send(value,
+                   checked_rank(dest, rank_.size(), "destination",
+                                *shared_.sm, s.loc),
+                   tag);
         return std::nullopt;
       }
       case StmtKind::MpiCall:
@@ -296,12 +299,12 @@ private:
   }
 
   void exec_parallel(const Stmt& s, Env& env, ThreadState& ts) {
-    int32_t n = default_threads_;
-    if (s.num_threads) {
-      n = static_cast<int32_t>(eval(*s.num_threads, env, ts));
-      if (n < 1) n = 1;
-    }
+    // Both clauses evaluate before the team size is checked, as in the VM.
+    const int64_t nt = s.num_threads ? eval(*s.num_threads, env, ts) : 0;
     const bool if_clause = !s.if_clause || eval(*s.if_clause, env, ts) != 0;
+    const int32_t n = s.num_threads
+                          ? checked_team_size(nt, *shared_.sm, s.loc)
+                          : default_threads_;
     miniomp::Runtime::parallel(
         *ts.omp, n, if_clause, [&](miniomp::ThreadContext& child) {
           ThreadState child_ts(shared_, rank_);
@@ -427,8 +430,8 @@ ExecResult Executor::run(const ExecOptions& opts) {
 
   if (opts.engine == Engine::Bytecode) {
     // Compile once per run: the bytecode bakes in the plan's arming
-    // decisions. The optimization passes (fusion / regalloc) rewrite the
-    // baseline encoding in place; opts.passes can disable either.
+    // decisions. Peephole fusion rewrites the baseline encoding in place;
+    // opts.passes can disable it.
     BcProgram bc = interp::compile(program_, sm_, plan_);
     run_passes(bc, opts.passes);
     result.mpi = world.run([&](simmpi::Rank& rank) {

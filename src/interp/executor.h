@@ -55,9 +55,9 @@ struct ExecOptions {
   /// off; a disabled tracer costs one predictable branch per emit point.
   Tracer* tracer = nullptr;
   MetricsRegistry* metrics = nullptr;
-  /// Bytecode-engine pass pipeline off-switches (all on by default). The
-  /// differential tests run every combination; the CLI exposes them
-  /// (--no-fuse etc.) for bisecting a suspect pass.
+  /// Bytecode-engine fusion off-switch (on by default). The differential
+  /// tests run both settings; the CLI exposes it (--no-fuse) for bisecting
+  /// a suspect rewrite.
   BcPassOptions passes;
 };
 

@@ -20,8 +20,6 @@ bool is_master_chain(const miniomp::ThreadContext* ctx) {
   return true;
 }
 
-int32_t as_rank(int64_t v) { return static_cast<int32_t>(v); }
-
 } // namespace
 
 std::optional<int64_t> MpiOps::exec(const MpiOperands& o, MpiThread& t) {
@@ -29,7 +27,9 @@ std::optional<int64_t> MpiOps::exec(const MpiOperands& o, MpiThread& t) {
   try {
     switch (s.kind) {
       case StmtKind::MpiRecv:
-        return rank_.recv(as_rank(o.root), as_rank(o.payload));
+        return rank_.recv(
+            checked_rank(o.root, rank_.size(), "source", *shared_.sm, s.loc),
+            static_cast<int32_t>(o.payload));
       case StmtKind::MpiWait: {
         check_thread_usage(s, t);
         const auto out = rank_.wait_outcome(o.payload);
@@ -81,9 +81,15 @@ std::optional<int64_t> MpiOps::call(const MpiOperands& o, MpiThread& t) {
     throw simmpi::AbortedError(msg);
   }
   const bool comm_mgmt = ir::is_comm_op(s.coll);
+  // A sub-communicator resolves first: a root is checked against the size
+  // of the communicator it names a rank of.
+  simmpi::Rank::CommRef ref;
+  if (s.mpi_comm && !comm_mgmt) ref = resolve(o.comm, t.comms);
   simmpi::Signature sig;
   sig.kind = s.coll;
-  sig.root = comm_mgmt ? -1 : as_rank(o.root);
+  if (ir::has_root(s.coll))
+    sig.root = checked_rank(o.root, ref.comm ? ref.comm->size() : rank_.size(),
+                            "root", *shared_.sm, s.loc);
   if (!comm_mgmt) sig.op = s.reduce_op;
 
   // The span opens before the checks, so a check that aborts the rank
@@ -117,7 +123,6 @@ std::optional<int64_t> MpiOps::call(const MpiOperands& o, MpiThread& t) {
     if (ir::is_nonblocking(s.coll)) return rank_.istart(sig, o.payload);
     return rank_.execute(sig, o.payload).scalar;
   }
-  const auto ref = resolve(o.comm, t.comms);
   if (o.armed)
     sig.cc = shared_.verifier->cc_lane_id(s.coll, sig.op, sig.root,
                                           ref.comm->comm_id());

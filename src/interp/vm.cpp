@@ -288,7 +288,11 @@ private:
           break;
         }
         case Op::MpiSend:
-          rank_.send(regs[I.a], static_cast<int32_t>(regs[I.b]),
+          rank_.send(regs[I.a],
+                     checked_rank(regs[I.b], rank_.size(), "destination",
+                                  *shared_.sm,
+                                  bc_.mpi_sites[static_cast<size_t>(I.imm)]
+                                      .stmt->loc),
                      static_cast<int32_t>(regs[I.c]));
           break;
         case Op::MpiColl:
@@ -301,10 +305,8 @@ private:
         case Op::Par: {
           const OmpSite& st = bc_.omp_sites[static_cast<size_t>(I.a)];
           int32_t n = default_threads_;
-          if (st.nt_reg >= 0) {
-            n = static_cast<int32_t>(regs[st.nt_reg]);
-            if (n < 1) n = 1;
-          }
+          if (st.nt_reg >= 0)
+            n = checked_team_size(regs[st.nt_reg], *shared_.sm, st.stmt->loc);
           const bool if_clause = st.if_reg < 0 || regs[st.if_reg] != 0;
           miniomp::Runtime::parallel(
               *ts.omp, n, if_clause, [&](miniomp::ThreadContext& child) {

@@ -28,6 +28,10 @@
 
 namespace parcoach::miniomp {
 
+/// Largest team a run may ask for: the CLI's --threads bound and the cap on a
+/// program's own num_threads clause.
+inline constexpr int32_t kMaxThreads = 256;
+
 /// Thrown by team operations after cancellation.
 class TeamCancelled : public std::runtime_error {
 public:

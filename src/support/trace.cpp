@@ -248,6 +248,11 @@ std::string Tracer::describe(const TraceEvent& e) const {
     case TraceEv::Unpark: return "unpark";
     case TraceEv::WatchdogTick: return "watchdog tick";
     case TraceEv::Deadlock: return "watchdog: deadlock declared";
+    case TraceEv::RankFail: return str::cat("rank ", e.a, " failed");
+    case TraceEv::CommRevoke: return str::cat("revoke ", comm_label(e.a));
+    case TraceEv::RecoveryDone:
+      return str::cat("recovery ", e.a, " on ", comm_label(e.b), " done (",
+                      e.c, " survivors)");
     case TraceEv::None: break;
   }
   return "?";

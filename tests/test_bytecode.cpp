@@ -138,15 +138,7 @@ TEST(Bytecode, DisassemblyShowsBakedArming) {
   EXPECT_EQ(disassemble(plain).find(" cc]"), std::string::npos);
 }
 
-// ---- Optimization-pass pipeline -----------------------------------------------
-
-namespace {
-size_t instr_count(const BcProgram& bc) {
-  size_t n = 0;
-  for (const auto& f : bc.funcs) n += f.code.size();
-  return n;
-}
-} // namespace
+// ---- Peephole fusion ----------------------------------------------------------
 
 TEST(BcPasses, FusionEmitsSuperinstructionsAndShrinksCode) {
   SourceManager sm;
@@ -166,10 +158,8 @@ TEST(BcPasses, FusionEmitsSuperinstructionsAndShrinksCode) {
                                  d, popts);
   ASSERT_TRUE(c.ok) << d.to_text(sm);
   auto bc = compile(c.program, sm, nullptr);
-  const size_t before = instr_count(bc);
-  BcPassOptions only_fuse;
-  only_fuse.regalloc = false;
-  run_passes(bc, only_fuse);
+  const size_t before = bc.total_instrs();
+  run_passes(bc);
   const std::string dis = disassemble(bc);
   // The loop shape must collapse into the expected superinstructions:
   // decl+const+store -> decl_imm, the loop guard -> a slot/slot fused
@@ -179,41 +169,7 @@ TEST(BcPasses, FusionEmitsSuperinstructionsAndShrinksCode) {
   EXPECT_NE(dis.find("add_li"), std::string::npos) << dis;
   EXPECT_NE(dis.find("mul_li"), std::string::npos) << dis;
   EXPECT_NE(dis.find("store_jump"), std::string::npos) << dis;
-  EXPECT_LT(instr_count(bc), before) << dis;
-}
-
-TEST(BcPasses, RegallocShrinksRegisterFileAfterFusion) {
-  SourceManager sm;
-  DiagnosticEngine d;
-  driver::PipelineOptions popts;
-  popts.mode = driver::Mode::Baseline;
-  // The one-pass compiler's stack discipline is already near-minimal on
-  // straight-line code; the register-file win appears once fusion deletes
-  // producers and shortens the temporaries' live ranges. So compare
-  // fuse-only against fuse+regalloc on a loop shape.
-  const auto c = driver::compile(sm, "t", R"(func main() {
-    var n = 10;
-    var acc = 0;
-    var i = 0;
-    while (i < n) {
-      acc = (acc + i * 3) % 100003;
-      i = i + 1;
-    }
-    print(acc);
-  })",
-                                 d, popts);
-  ASSERT_TRUE(c.ok) << d.to_text(sm);
-  auto fused = compile(c.program, sm, nullptr);
-  BcPassOptions only_fuse;
-  only_fuse.regalloc = false;
-  run_passes(fused, only_fuse);
-
-  auto packed = compile(c.program, sm, nullptr);
-  run_passes(packed, BcPassOptions{});
-
-  EXPECT_LT(packed.funcs[0].num_regs, fused.funcs[0].num_regs)
-      << disassemble(packed);
-  EXPECT_GE(packed.funcs[0].num_regs, 1);
+  EXPECT_LT(bc.total_instrs(), before) << dis;
 }
 
 // ---- Engine parity on targeted semantics --------------------------------------
@@ -385,6 +341,55 @@ TEST(Bytecode, NonblockingAndPointToPoint) {
     mpi_finalize();
   })",
                 2, 1, true);
+}
+
+// ---- Out-of-range operands ----------------------------------------------------
+
+/// Both engines must fail `src` with the same per-rank errors, rank 0's
+/// naming `error`: a located rank error, never a signal or a silent wrap.
+void expect_rank_error(const std::string& src, const std::string& error) {
+  const auto ast = run_src(src, Engine::Ast);
+  const auto bc = run_src(src, Engine::Bytecode);
+  EXPECT_FALSE(bc->result.clean);
+  EXPECT_FALSE(bc->result.mpi.deadlock);
+  EXPECT_EQ(ast->result.mpi.rank_errors, bc->result.mpi.rank_errors);
+  EXPECT_NE(bc->result.mpi.rank_errors[0].find(error), std::string::npos)
+      << bc->result.mpi.rank_errors[0];
+}
+
+// Roots are checked against their communicator's size and send/recv peers
+// against the world's, on the int64 before it narrows.
+TEST(Bytecode, OutOfRangeRankOperandsAreRankErrors) {
+  expect_rank_error("func main() { var y = mpi_reduce(1, sum, 0 - 1); }",
+                    "root -1 is outside [0, 2) at t:1:15");
+  expect_rank_error("func main() { mpi_bcast(1, 7); }",
+                    "root 7 is outside [0, 2) at t:1:15");
+  expect_rank_error("func main() { var c = mpi_comm_split(rank(), 0);\n"
+                    "  var b = mpi_bcast(1, 1, c); }",
+                    "root 1 is outside [0, 1) at t:2:3");
+  expect_rank_error("func main() {\n"
+                    "  if (rank() == 0) { mpi_send(4, 4294967297, 0); }\n"
+                    "  if (rank() == 1) { var v = mpi_recv(0, 0); } }",
+                    "destination 4294967297 is outside [0, 2) at t:2:22");
+  expect_rank_error("func main() {\n"
+                    "  if (rank() == 0) { var v = mpi_recv(4294967297, 0); }\n"
+                    "  if (rank() == 1) { mpi_send(4, 0, 0); } }",
+                    "source 4294967297 is outside [0, 2) at t:2:22");
+}
+
+// num_threads is capped at miniomp::kMaxThreads before it narrows. Only
+// values rejected before any team starts are tried: 2^32 + 2 would narrow
+// to a team of 2. As in the VM, every operand evaluates before the check.
+TEST(Bytecode, NumThreadsAboveCapIsRankError) {
+  for (const std::string n : {"257", "4294967298"})
+    expect_rank_error(
+        "func main() { omp parallel num_threads(" + n + ") { print(1); } }",
+        "num_threads(" + n + ") exceeds the limit of 256 at t:1:15");
+  expect_rank_error("func main() { var z = 0;\n"
+                    "  omp parallel num_threads(257) if(1 / z) { print(1); } }",
+                    "division by zero");
+  expect_rank_error("func main() { var z = 0; mpi_send(1, 9, 1 / z); }",
+                    "division by zero");
 }
 
 // ---- Sema-escape regression (the located-EvalError fix) -----------------------

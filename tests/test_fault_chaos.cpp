@@ -7,9 +7,7 @@
 //     completed recovery (return-mode errhandler entries), never a hang;
 //   - timing-only schedules never change a Clean entry's outcome;
 //   - per-seed reports are byte-reproducible on deterministic entries.
-#include "driver/pipeline.h"
-#include "interp/executor.h"
-#include "support/fault.h"
+#include "fault_harness.h"
 #include "workloads/corpus.h"
 
 #include <gtest/gtest.h>
@@ -24,41 +22,13 @@ constexpr uint64_t kSeeds = 20;
 
 class ChaosTest : public ::testing::TestWithParam<CorpusEntry> {};
 
-struct ChaosRun {
-  interp::ExecResult result;
-  uint64_t crashes = 0;
-};
-
-// Bytecode-engine runs rotate through every optimization-pass combination
-// by seed, so the chaos invariants hold under all-on, each pass
-// individually off, and all-off — at no extra run count.
-interp::BcPassOptions pass_cfg_for(uint64_t seed) {
-  switch (seed % 4) {
-    case 1: return {false, true};  // no regalloc
-    case 2: return {true, false};  // no fuse
-    case 3: return {false, false};
-    default: return {};
-  }
-}
-
-ChaosRun run_chaos(const driver::CompileResult& r, const SourceManager& sm,
+FaultRun run_chaos(const driver::CompileResult& r, const SourceManager& sm,
                    const CorpusEntry& e, interp::Engine engine, uint64_t seed) {
-  // Fresh injector per run: the per-rank draw counters are part of the
-  // deterministic schedule, so they must start from zero every time.
-  FaultInjector inj(FaultPlan::chaos(seed, e.ranks), e.ranks);
-  interp::Executor exec(r.program, sm, &r.plan);
-  interp::ExecOptions opts;
-  opts.engine = engine;
-  if (engine == interp::Engine::Bytecode) opts.passes = pass_cfg_for(seed);
-  opts.num_ranks = e.ranks;
-  opts.num_threads = e.threads;
-  opts.mpi.fault = &inj;
-  opts.mpi.hang_timeout = std::chrono::milliseconds(
-      e.dynamic == DynamicOutcome::DeadlockReported ? 300 : 2500);
-  ChaosRun out;
-  out.result = exec.run(opts);
-  out.crashes = inj.crashes_fired();
-  return out;
+  return run_under_faults(
+      r, sm, &r.plan, e.ranks, e.threads, engine, seed,
+      FaultPlan::chaos(seed, e.ranks),
+      std::chrono::milliseconds(
+          e.dynamic == DynamicOutcome::DeadlockReported ? 300 : 2500));
 }
 
 TEST_P(ChaosTest, SeededFaultSchedulesNeverHang) {

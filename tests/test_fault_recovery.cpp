@@ -1,6 +1,6 @@
 // Chaos-recovery proof: the ULFM-style recovery entries survive a guaranteed
-// rank crash under many seeded fault schedules, on BOTH engines, under every
-// bytecode optimization-pass combination and both instrumentation plans.
+// rank crash under many seeded fault schedules, on BOTH engines, with the
+// bytecode engine fused and unfused, and under both instrumentation plans.
 // Invariants:
 //   - every run completes a clean shrunk-world run: no abort, no deadlock,
 //     the dead rank in the failure census, exactly one shrink;
@@ -9,9 +9,7 @@
 //   - with the errhandler left at its default (abort), the same crash
 //     fail-stops the world exactly as it did before recovery existed.
 #include "core/instrumentation.h"
-#include "driver/pipeline.h"
-#include "interp/executor.h"
-#include "support/fault.h"
+#include "fault_harness.h"
 #include "workloads/corpus.h"
 
 #include <gtest/gtest.h>
@@ -43,38 +41,12 @@ FaultPlan crash_plan(uint64_t seed, int32_t ranks) {
   return p;
 }
 
-// Same rotation as the chaos harness: every pass combination of interest.
-interp::BcPassOptions pass_cfg_for(uint64_t seed) {
-  switch (seed % 4) {
-    case 1: return {false, true};  // no regalloc
-    case 2: return {true, false};  // no fuse
-    case 3: return {false, false};
-    default: return {};
-  }
-}
-
-struct RecoveryRun {
-  interp::ExecResult result;
-  uint64_t crashes = 0;
-};
-
-RecoveryRun run_one(const driver::CompileResult& r, const SourceManager& sm,
-                    const core::InstrumentationPlan* plan,
-                    const CorpusEntry& e, interp::Engine engine,
-                    uint64_t seed) {
-  FaultInjector inj(crash_plan(seed, e.ranks), e.ranks);
-  interp::Executor exec(r.program, sm, plan);
-  interp::ExecOptions opts;
-  opts.engine = engine;
-  if (engine == interp::Engine::Bytecode) opts.passes = pass_cfg_for(seed);
-  opts.num_ranks = e.ranks;
-  opts.num_threads = e.threads;
-  opts.mpi.fault = &inj;
-  opts.mpi.hang_timeout = std::chrono::milliseconds(2500);
-  RecoveryRun out;
-  out.result = exec.run(opts);
-  out.crashes = inj.crashes_fired();
-  return out;
+FaultRun run_one(const driver::CompileResult& r, const SourceManager& sm,
+                 const core::InstrumentationPlan* plan, const CorpusEntry& e,
+                 interp::Engine engine, uint64_t seed) {
+  return run_under_faults(r, sm, plan, e.ranks, e.threads, engine, seed,
+                          crash_plan(seed, e.ranks),
+                          std::chrono::milliseconds(2500));
 }
 
 class RecoveryTest : public ::testing::TestWithParam<const char*> {};
@@ -156,7 +128,7 @@ TEST_P(RecoveryTest, PerSeedReportsAreByteIdenticalAcrossEnginesAndRuns) {
 }
 
 // Satellite parity matrix: error-status forms and revoke/shrink/agree under
-// every bytecode pass combination x {selective, program-wide} plans. The
+// {fused, unfused} bytecode x {selective, program-wide} plans. The
 // AST engine under the same plan is the oracle for each cell.
 TEST_P(RecoveryTest, StatusFormsMatchAcrossPassConfigsAndPlans) {
   const CorpusEntry& e = workloads::corpus_entry(GetParam());
@@ -174,7 +146,7 @@ TEST_P(RecoveryTest, StatusFormsMatchAcrossPassConfigsAndPlans) {
     const char* name;
     const core::InstrumentationPlan* plan;
   } plans[] = {{"selective", &r.plan}, {"programwide", &programwide}};
-  const uint64_t kCfgSeeds[] = {0, 1, 2, 3, 4}; // seed % 5 spans all configs
+  const uint64_t kCfgSeeds[] = {0, 1, 2, 3, 4}; // both pass configs
 
   for (const auto& p : plans) {
     for (const uint64_t seed : kCfgSeeds) {
@@ -267,15 +239,10 @@ TEST(RecoveryAbortModeTest, DefaultErrhandlerStillFailStops) {
   ASSERT_TRUE(r.ok) << diags.to_text(sm);
 
   auto run_abort = [&](interp::Engine engine, uint64_t seed) {
-    FaultInjector inj(crash_plan(seed, 4), 4);
-    interp::Executor exec(r.program, sm, &r.plan);
-    interp::ExecOptions opts;
-    opts.engine = engine;
-    if (engine == interp::Engine::Bytecode) opts.passes = pass_cfg_for(seed);
-    opts.num_ranks = 4;
-    opts.mpi.fault = &inj;
-    opts.mpi.hang_timeout = std::chrono::milliseconds(2500);
-    return exec.run(opts);
+    return run_under_faults(r, sm, &r.plan, 4, 2, engine, seed,
+                            crash_plan(seed, 4),
+                            std::chrono::milliseconds(2500))
+        .result;
   };
 
   for (uint64_t seed = 0; seed < kSeeds; ++seed) {

@@ -37,6 +37,17 @@ CollSpans coll_spans(const Tracer& tracer) {
   return out;
 }
 
+/// Runtime diagnostics as sorted (kind, message) pairs: runs compare them
+/// byte for byte, and only cross-rank recording order may vary.
+std::vector<std::pair<int, std::string>> keyed(
+    const std::vector<Diagnostic>& ds) {
+  std::vector<std::pair<int, std::string>> out;
+  for (const auto& d : ds)
+    out.emplace_back(static_cast<int>(d.kind), d.message);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 driver::CompileResult compile_full(const CorpusEntry& e, SourceManager& sm,
                                    DiagnosticEngine& diags) {
   driver::PipelineOptions opts;
@@ -152,15 +163,6 @@ TEST_P(CorpusTest, SelectiveArmingMatchesProgramWideOutcome) {
   EXPECT_EQ(sel.mpi.deadlock, pw.mpi.deadlock);
   EXPECT_EQ(sel.mpi.deadlock_details, pw.mpi.deadlock_details);
   EXPECT_EQ(sel.output, pw.output);
-  // Runtime diagnostics are compared as sorted (kind, message) pairs: the
-  // wording must be byte-identical, only cross-rank recording order may vary.
-  auto keyed = [](const std::vector<Diagnostic>& ds) {
-    std::vector<std::pair<int, std::string>> out;
-    for (const auto& d : ds)
-      out.emplace_back(static_cast<int>(d.kind), d.message);
-    std::sort(out.begin(), out.end());
-    return out;
-  };
   EXPECT_EQ(keyed(sel.rt_diags), keyed(pw.rt_diags));
   // The selective plan never arms more than program-wide.
   EXPECT_LE(r.plan.cc_stmts.size(), programwide.cc_stmts.size());
@@ -204,13 +206,6 @@ TEST_P(CorpusTest, BytecodeMatchesAstOutcome) {
         std::chrono::milliseconds(expects_deadlock ? 300 : 2500);
     return exec.run(opts);
   };
-  auto keyed = [](const std::vector<Diagnostic>& ds) {
-    std::vector<std::pair<int, std::string>> out;
-    for (const auto& d : ds)
-      out.emplace_back(static_cast<int>(d.kind), d.message);
-    std::sort(out.begin(), out.end());
-    return out;
-  };
   // An uninstrumented mismatch hang annotates whichever rank deposited into
   // the contested slot *second* with "(signature differs from the slot's)" —
   // that attribution depends on arrival order, not on engine semantics, so
@@ -223,29 +218,18 @@ TEST_P(CorpusTest, BytecodeMatchesAstOutcome) {
     return details;
   };
 
-  // The AST oracle is compared against the bytecode engine under every
-  // optimization-pass combination of interest: the production default
-  // (everything on), each pass individually disabled (localizes a culprit
-  // immediately when a pass rewrite goes wrong), and the bare one-pass
-  // compiler output (all off).
-  const struct {
-    const char* name;
-    interp::BcPassOptions passes;
-  } pass_cfgs[] = {
-      {"passes=all-on", {true, true}},
-      {"passes=no-regalloc", {false, true}},
-      {"passes=no-fuse", {true, false}},
-      {"passes=all-off", {false, false}},
-  };
-
+  // The AST oracle is compared against the bytecode engine both as it
+  // ships (fused) and as the bare one-pass compiler output (unfused), so a
+  // wrong fusion rewrite shows as a fused-only mismatch.
   const core::InstrumentationPlan* plans[] = {nullptr, &r.plan, &programwide};
   const char* plan_names[] = {"uninstrumented", "selective", "programwide"};
   for (size_t p = 0; p < 3; ++p) {
     const auto ast = run_with(plans[p], interp::Engine::Ast);
     ASSERT_EQ(ast.mpi.engine, "ast");
-    for (const auto& cfg : pass_cfgs) {
-      const auto bc = run_with(plans[p], interp::Engine::Bytecode, cfg.passes);
-      SCOPED_TRACE(str::cat(plan_names[p], " ", cfg.name));
+    for (const bool fuse : {true, false}) {
+      const auto bc =
+          run_with(plans[p], interp::Engine::Bytecode, {.fuse = fuse});
+      SCOPED_TRACE(str::cat(plan_names[p], fuse ? " fused" : " unfused"));
       EXPECT_EQ(ast.clean, bc.clean);
       EXPECT_EQ(ast.mpi.deadlock, bc.mpi.deadlock);
       EXPECT_EQ(normalized(ast.mpi.deadlock_details),
@@ -301,13 +285,6 @@ TEST_P(CorpusTest, TracingOnMatchesTracingOff) {
       *spans = coll_spans(tracer);
     }
     return result;
-  };
-  auto keyed = [](const std::vector<Diagnostic>& ds) {
-    std::vector<std::pair<int, std::string>> out;
-    for (const auto& d : ds)
-      out.emplace_back(static_cast<int>(d.kind), d.message);
-    std::sort(out.begin(), out.end());
-    return out;
   };
   // The flight-recorder appendix is the one sanctioned addition.
   auto stripped = [](std::string details) {

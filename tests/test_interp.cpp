@@ -17,7 +17,8 @@ struct Ran {
 };
 
 std::unique_ptr<Ran> run_src(const std::string& src, int32_t ranks = 2,
-                             int32_t threads = 2, bool instrument = false) {
+                             int32_t threads = 2, bool instrument = false,
+                             Engine engine = Engine::Bytecode) {
   auto r = std::make_unique<Ran>();
   driver::PipelineOptions popts;
   popts.mode = instrument ? driver::Mode::WarningsAndCodegen
@@ -28,6 +29,7 @@ std::unique_ptr<Ran> run_src(const std::string& src, int32_t ranks = 2,
   Executor exec(r->compiled.program, r->sm,
                 instrument ? &r->compiled.plan : nullptr);
   ExecOptions eopts;
+  eopts.engine = engine;
   eopts.num_ranks = ranks;
   eopts.num_threads = threads;
   eopts.mpi.hang_timeout = std::chrono::milliseconds(400);
@@ -260,27 +262,17 @@ TEST(Interp, DivisionByZeroAbortsCleanly) {
 TEST(Interp, Int64ExtremesAreDefinedOnBothEngines) {
   // INT64_MIN / -1 is a rank error, as division by zero is — never a
   // SIGFPE. x % -1 is 0, and + - * and unary - wrap modulo 2^64.
-  SourceManager sm;
-  DiagnosticEngine d;
-  driver::PipelineOptions popts;
-  popts.mode = driver::Mode::Baseline;
-  const auto c = driver::compile(sm, "t", R"(func main() {
+  for (const Engine engine : {Engine::Ast, Engine::Bytecode}) {
+    SCOPED_TRACE(to_string(engine));
+    const auto r = run_src(R"(func main() {
     var lo = 0 - 9223372036854775807 - 1;
     var m1 = 0 - 1;
     print(lo % m1, lo * m1, -lo, lo - 1, (0 - lo) + lo);
     var q = lo / m1;
     print(q);
   })",
-                                 d, popts);
-  ASSERT_TRUE(c.ok) << d.to_text(sm);
-  for (const Engine engine : {Engine::Ast, Engine::Bytecode}) {
-    SCOPED_TRACE(to_string(engine));
-    Executor exec(c.program, sm, nullptr);
-    ExecOptions eopts;
-    eopts.engine = engine;
-    eopts.num_ranks = 1;
-    eopts.num_threads = 1;
-    const auto res = exec.run(eopts);
+                           1, 1, false, engine);
+    const ExecResult& res = r->result;
     EXPECT_FALSE(res.clean);
     EXPECT_FALSE(res.mpi.deadlock);
     ASSERT_EQ(res.output.size(), 1u);

@@ -242,9 +242,8 @@ namespace {
 // P5: execution-engine parity. Random arithmetic/control programs (nested
 // if/while/for, helper calls, OpenMP blocks, unary/binary operators
 // including short-circuit && / || and abort-prone / and %) must produce
-// byte-identical outcomes under the AST oracle and the bytecode VM with
-// every optimization-pass combination: all passes on, each pass
-// individually disabled, and all passes off. This is the fuzz counterpart
+// byte-identical outcomes under the AST oracle and the bytecode VM, fused
+// and unfused. This is the fuzz counterpart
 // of the corpus differential — it hunts for peephole rewrites that would
 // only misbehave on operator shapes the corpus never exercises.
 //
@@ -518,22 +517,14 @@ TEST_P(PropertyEngineParity, AllPassConfigsMatchAstOracle) {
   const Outcome oracle =
       run_engine_cfg(r, sm, interp::Engine::Ast, interp::BcPassOptions{});
 
-  const struct {
-    const char* name;
-    interp::BcPassOptions passes;
-  } kConfigs[] = {
-      {"all-on", {true, true}},
-      {"no-regalloc", {false, true}},
-      {"no-fuse", {true, false}},
-      {"all-off", {false, false}},
-  };
-  for (const auto& cfg : kConfigs) {
+  for (const bool fuse : {true, false}) {
     const Outcome got =
-        run_engine_cfg(r, sm, interp::Engine::Bytecode, cfg.passes);
-    EXPECT_EQ(oracle.clean, got.clean) << cfg.name << "\n" << source;
-    EXPECT_EQ(oracle.deadlock, got.deadlock) << cfg.name << "\n" << source;
-    EXPECT_EQ(oracle.abort, got.abort) << cfg.name << "\n" << source;
-    EXPECT_EQ(oracle.output, got.output) << cfg.name << "\n" << source;
+        run_engine_cfg(r, sm, interp::Engine::Bytecode, {.fuse = fuse});
+    SCOPED_TRACE(str::cat(fuse ? "fused" : "unfused", "\n", source));
+    EXPECT_EQ(oracle.clean, got.clean);
+    EXPECT_EQ(oracle.deadlock, got.deadlock);
+    EXPECT_EQ(oracle.abort, got.abort);
+    EXPECT_EQ(oracle.output, got.output);
   }
 }
 

@@ -86,7 +86,7 @@ TEST(Metrics, CountersAndGaugesSnapshotSorted) {
 TEST(Metrics, CounterReferenceIsStable) {
   MetricsRegistry m;
   auto& c = m.counter("x");
-  for (int i = 0; i < 100; ++i) m.counter(str::cat("other", i));
+  for (int i = 0; i < 100; ++i) (void)m.counter(str::cat("other", i));
   c.fetch_add(5, std::memory_order_relaxed);
   EXPECT_EQ(m.counter("x").load(), 5u);
 }
@@ -104,6 +104,17 @@ TEST(Trace, RingKeepsMostRecentEventsAndCountsDrops) {
   for (size_t i = 0; i < evs.size(); ++i) {
     EXPECT_EQ(evs[i].kind, TraceEv::WatchdogTick);
     EXPECT_EQ(evs[i].a, static_cast<int64_t>(12 + i)); // oldest survivor = 12
+  }
+}
+
+// Deadlock reports and the Chrome trace's `detail` field render every event
+// through describe(); none may fall through to the "?" placeholder.
+TEST(Trace, DescribeCoversEveryEvent) {
+  Tracer t(Tracer::Options{true, /*ring_capacity=*/8});
+  for (auto k = static_cast<int32_t>(TraceEv::CollEnter);
+       k <= static_cast<int32_t>(TraceEv::RecoveryDone); ++k) {
+    const TraceEvent e{.kind = static_cast<TraceEv>(k), .a = 1, .c = 2};
+    EXPECT_NE(t.describe(e), "?") << to_string(e.kind);
   }
 }
 

@@ -162,15 +162,17 @@ TEST(Workloads, HeraHasTheRegridFalsePositiveShape) {
 // ---- Exact work counts -----------------------------------------------------------
 // bench/e2e runs these two configurations as its npb_bt_mz and epcc_armed
 // workloads, with the CLI defaults. Their counts depend only on the program,
-// the plan and the pass pipeline: turning a bytecode pass off moves
-// bytecode_ops, an extra synchronization round moves app_slots_completed,
-// and a change to which sites are armed moves cc_piggybacked.
+// the plan and the pass pipeline: turning fusion off moves bytecode_ops,
+// an extra synchronization round moves app_slots_completed, a change to
+// which sites are armed moves cc_piggybacked, and a change to how the
+// encoder numbers registers moves bc_regs (the frame register file).
 
 struct WorkCounts {
   uint64_t bytecode_ops = 0;
   uint64_t app_slots_completed = 0;
   uint64_t cc_piggybacked = 0;
   size_t bc_instrs = 0; // after the pass pipeline
+  size_t bc_regs = 0;   // BcFunction::num_regs summed over the program
 };
 
 WorkCounts run_counted(const GeneratedProgram& g, bool programwide) {
@@ -195,8 +197,10 @@ WorkCounts run_counted(const GeneratedProgram& g, bool programwide) {
                          << res.mpi.deadlock_details;
   auto bc = interp::compile(r.program, sm, &plan);
   interp::run_passes(bc, eopts.passes);
+  size_t regs = 0;
+  for (const auto& f : bc.funcs) regs += static_cast<size_t>(f.num_regs);
   return {res.mpi.bytecode_ops, res.mpi.app_slots_completed,
-          res.mpi.cc_piggybacked, bc.total_instrs()};
+          res.mpi.cc_piggybacked, bc.total_instrs(), regs};
 }
 
 TEST(WorkCounts, NpbBtMzSelectivePlan) {
@@ -212,6 +216,7 @@ TEST(WorkCounts, NpbBtMzSelectivePlan) {
   EXPECT_EQ(c.app_slots_completed, 210u);
   EXPECT_EQ(c.cc_piggybacked, 210u);
   EXPECT_EQ(c.bc_instrs, 452u);
+  EXPECT_EQ(c.bc_regs, 80u);
 }
 
 TEST(WorkCounts, EpccArmedProgramwidePlan) {
@@ -224,6 +229,7 @@ TEST(WorkCounts, EpccArmedProgramwidePlan) {
   EXPECT_EQ(c.app_slots_completed, 2172u);
   EXPECT_EQ(c.cc_piggybacked, 2172u);
   EXPECT_EQ(c.bc_instrs, 1149u);
+  EXPECT_EQ(c.bc_regs, 267u);
 }
 
 // ---- Corpus sanity -------------------------------------------------------------
