@@ -33,7 +33,8 @@
 //                       delay/jitter/PCT perturbation; deterministic per seed)
 //   --fault-plan=FILE   run under an explicit fault plan (key = value lines;
 //                       see FaultPlan::parse)
-//   --timings           print compile stage times to stderr
+//   --timings           print compile stage times to stderr, and for `run`
+//                       the spawn / ranks / teardown split of the run
 //
 // Numeric values must be plain base-10 integers in range (1 <= N <= 1024
 // for --ranks, 1 <= N <= 256 for --threads, N >= 0 for the millisecond
@@ -313,6 +314,8 @@ int main(int argc, char** argv) {
     eopts.mpi.fault = injector.get();
   }
   const auto result = exec.run(eopts);
+  if (cli.timings)
+    std::cerr << "run times: " << driver::format_run_times(result.mpi) << '\n';
   if (tracer) {
     std::ofstream out(cli.trace_path);
     if (!out) {

@@ -73,6 +73,15 @@ std::string format_stage_times(const StageTimes& t) {
   return os.str();
 }
 
+std::string format_run_times(const simmpi::RunReport& r) {
+  auto ms = [](uint64_t ns) { return static_cast<double>(ns) / 1e6; };
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(3);
+  os << "spawn=" << ms(r.spawn_ns) << "ms ranks=" << ms(r.ranks_ns)
+     << "ms teardown=" << ms(r.teardown_ns) << "ms";
+  return os.str();
+}
+
 std::string format_run_summary(const interp::ExecResult& r) {
   std::ostringstream os;
   os << "engine=" << r.mpi.engine << " steps=" << r.steps_executed;

@@ -39,6 +39,9 @@ struct WarningCensus {
 /// Human-readable stage-time summary.
 [[nodiscard]] std::string format_stage_times(const StageTimes& t);
 
+/// World::run's wall-clock split: "spawn=…ms ranks=…ms teardown=…ms".
+[[nodiscard]] std::string format_run_times(const simmpi::RunReport& r);
+
 /// One-line dynamic-run summary: which engine drove the run, how much work
 /// it did (steps / VM instructions), and the runtime-check census. Printed
 /// by the CLI after `run` and by examples.

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -165,6 +166,12 @@ inline int64_t mod_or_fault(int64_t a, int64_t b) {
   throw EvalError(str::cat(what, " ", v, " is outside [0, ", size, ") at ",
                            sm.describe(loc)));
 }
+[[noreturn, gnu::noinline, gnu::cold]] inline void tag_fault(
+    int64_t v, const SourceManager& sm, SourceLoc loc) {
+  throw EvalError(str::cat("tag ", v, " is outside [0, ",
+                           std::numeric_limits<int32_t>::max(), "] at ",
+                           sm.describe(loc)));
+}
 [[noreturn, gnu::noinline, gnu::cold]] inline void team_size_fault(
     int64_t n, const SourceManager& sm, SourceLoc loc) {
   throw EvalError(str::cat("num_threads(", n, ") exceeds the limit of ",
@@ -176,6 +183,13 @@ inline int32_t checked_rank(int64_t v, int32_t size, const char* what,
                             const SourceManager& sm, SourceLoc loc) {
   if (v < 0 || v >= size) [[unlikely]]
     rank_operand_fault(v, size, what, sm, loc);
+  return static_cast<int32_t>(v);
+}
+/// A send/recv tag: MPI tags are non-negative and this runtime's are int32.
+inline int32_t checked_tag(int64_t v, const SourceManager& sm,
+                           SourceLoc loc) {
+  if (v < 0 || v > std::numeric_limits<int32_t>::max()) [[unlikely]]
+    tag_fault(v, sm, loc);
   return static_cast<int32_t>(v);
 }
 /// A num_threads(n) clause: n < 1 runs a team of one.

@@ -206,11 +206,11 @@ private:
       case StmtKind::MpiSend: {
         const int64_t value = eval(*s.mpi_value, env, ts);
         const int64_t dest = eval(*s.mpi_root, env, ts);
-        const int32_t tag = static_cast<int32_t>(eval(*s.hi, env, ts));
-        rank_.send(value,
-                   checked_rank(dest, rank_.size(), "destination",
-                                *shared_.sm, s.loc),
-                   tag);
+        const int64_t tag = eval(*s.hi, env, ts);
+        const int32_t peer =
+            checked_rank(dest, rank_.size(), "destination", *shared_.sm, s.loc);
+        const int32_t tag32 = checked_tag(tag, *shared_.sm, s.loc);
+        rank_.send(value, peer, tag32);
         return std::nullopt;
       }
       case StmtKind::MpiCall:

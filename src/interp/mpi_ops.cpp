@@ -26,10 +26,12 @@ std::optional<int64_t> MpiOps::exec(const MpiOperands& o, MpiThread& t) {
   const Stmt& s = *o.stmt;
   try {
     switch (s.kind) {
-      case StmtKind::MpiRecv:
-        return rank_.recv(
-            checked_rank(o.root, rank_.size(), "source", *shared_.sm, s.loc),
-            static_cast<int32_t>(o.payload));
+      case StmtKind::MpiRecv: {
+        const int32_t source =
+            checked_rank(o.root, rank_.size(), "source", *shared_.sm, s.loc);
+        const int32_t tag = checked_tag(o.payload, *shared_.sm, s.loc);
+        return rank_.recv(source, tag);
+      }
       case StmtKind::MpiWait: {
         check_thread_usage(s, t);
         const auto out = rank_.wait_outcome(o.payload);

@@ -287,14 +287,15 @@ private:
             store_slot(f, cs.target_slot, cs.declares_target, ret);
           break;
         }
-        case Op::MpiSend:
-          rank_.send(regs[I.a],
-                     checked_rank(regs[I.b], rank_.size(), "destination",
-                                  *shared_.sm,
-                                  bc_.mpi_sites[static_cast<size_t>(I.imm)]
-                                      .stmt->loc),
-                     static_cast<int32_t>(regs[I.c]));
+        case Op::MpiSend: {
+          const SourceLoc loc =
+              bc_.mpi_sites[static_cast<size_t>(I.imm)].stmt->loc;
+          const int32_t peer = checked_rank(regs[I.b], rank_.size(),
+                                            "destination", *shared_.sm, loc);
+          const int32_t tag = checked_tag(regs[I.c], *shared_.sm, loc);
+          rank_.send(regs[I.a], peer, tag);
           break;
+        }
         case Op::MpiColl:
         case Op::MpiRecv:
         case Op::MpiWait:

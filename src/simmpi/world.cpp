@@ -6,6 +6,8 @@
 #include "support/trace.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -295,36 +297,69 @@ void World::record_thread_violation(int32_t rank, const std::string& what) {
 }
 
 RunReport World::run(const std::function<void(Rank&)>& body) {
+  using Clock = std::chrono::steady_clock;
+  const auto entry = Clock::now();
   RunReport report;
   report.rank_errors.assign(static_cast<size_t>(opts_.num_ranks), "");
 
+  // Completion wakeup: the rank whose fetch_add brings `finished` to
+  // num_ranks locks and unlocks done_mu, then notifies done_cv, so the
+  // watchdog's predicate check and its wait cannot straddle the last
+  // increment (no lost wakeup). That rank still touches done_cv after its
+  // increment; joining every rank thread before run() returns keeps these
+  // locals alive until it is done.
   std::atomic<int32_t> finished{0};
+  std::mutex done_mu;
+  std::condition_variable done_cv;
+  Clock::time_point ranks_end{};
+  auto rank_main = [&](int32_t r) {
+    Rank& rank = *ranks_[static_cast<size_t>(r)];
+    try {
+      body(rank);
+    } catch (const AbortedError& e) {
+      report.rank_errors[static_cast<size_t>(r)] = str::cat("aborted: ", e.what());
+    } catch (const DeadlockError& e) {
+      report.rank_errors[static_cast<size_t>(r)] = str::cat("deadlock: ", e.what());
+    } catch (const MismatchError& e) {
+      report.rank_errors[static_cast<size_t>(r)] = str::cat("mismatch: ", e.what());
+    } catch (const RankFailedError& e) {
+      // Either this rank died (its own unwind) or a peer failure escaped
+      // the program unhandled; the census below distinguishes the two.
+      report.rank_errors[static_cast<size_t>(r)] =
+          str::cat("rank failed: ", e.what());
+    } catch (const RevokedError& e) {
+      report.rank_errors[static_cast<size_t>(r)] = str::cat("revoked: ", e.what());
+    } catch (const std::exception& e) {
+      report.rank_errors[static_cast<size_t>(r)] = str::cat("error: ", e.what());
+    }
+    if (finished.fetch_add(1) + 1 == opts_.num_ranks) {
+      ranks_end = Clock::now();
+      { std::scoped_lock lk(done_mu); }
+      done_cv.notify_one();
+    }
+  };
+
+  // A rank thread that cannot be created (no memory for its stack, a thread
+  // limit) aborts the world: the ranks already running unwind from their
+  // waits, and the run reports the failure instead of throwing.
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(opts_.num_ranks));
   for (int32_t r = 0; r < opts_.num_ranks; ++r) {
-    threads.emplace_back([&, r] {
-      Rank& rank = *ranks_[static_cast<size_t>(r)];
-      try {
-        body(rank);
-      } catch (const AbortedError& e) {
-        report.rank_errors[static_cast<size_t>(r)] = str::cat("aborted: ", e.what());
-      } catch (const DeadlockError& e) {
-        report.rank_errors[static_cast<size_t>(r)] = str::cat("deadlock: ", e.what());
-      } catch (const MismatchError& e) {
-        report.rank_errors[static_cast<size_t>(r)] = str::cat("mismatch: ", e.what());
-      } catch (const RankFailedError& e) {
-        // Either this rank died (its own unwind) or a peer failure escaped
-        // the program unhandled; the census below distinguishes the two.
-        report.rank_errors[static_cast<size_t>(r)] =
-            str::cat("rank failed: ", e.what());
-      } catch (const RevokedError& e) {
-        report.rank_errors[static_cast<size_t>(r)] = str::cat("revoked: ", e.what());
-      } catch (const std::exception& e) {
-        report.rank_errors[static_cast<size_t>(r)] = str::cat("error: ", e.what());
-      }
-      finished.fetch_add(1);
-    });
+    try {
+      threads.emplace_back(rank_main, r);
+    } catch (const std::exception& e) {
+      const std::string reason =
+          str::cat("could not start rank thread ", r, ": ", e.what());
+      state_.abort(reason);
+      for (int32_t u = r; u < opts_.num_ranks; ++u)
+        report.rank_errors[static_cast<size_t>(u)] =
+            str::cat("not started: ", reason);
+      break;
+    }
   }
+  const bool all_started =
+      threads.size() == static_cast<size_t>(opts_.num_ranks);
+  const auto spawned = Clock::now();
 
   // Watchdog: no progress for hang_timeout while not everyone finished and
   // at least one rank is blocked in a collective => declare deadlock. The
@@ -377,8 +412,14 @@ RunReport World::run(const std::function<void(Rank&)>& body) {
         blocked_ranks.end());
     return state_.tracer->flight_recorder(blocked_ranks);
   };
-  while (finished.load() < opts_.num_ranks) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // The watchdog wakes every kWatchdogPeriod to climb the ladder below, or
+  // at once when the last rank finishes; that wake is not a poll.
+  const auto all_finished = [&] { return finished.load() == opts_.num_ranks; };
+  while (all_started) {
+    {
+      std::unique_lock lk(done_mu);
+      if (done_cv.wait_for(lk, kWatchdogPeriod, all_finished)) break;
+    }
     if (watchdog_polls) watchdog_polls->fetch_add(1, std::memory_order_relaxed);
     if (state_.tracer) state_.tracer->emit(TraceEv::WatchdogTick, -1);
     if (state_.is_aborted()) break;
@@ -446,6 +487,7 @@ RunReport World::run(const std::function<void(Rank&)>& body) {
   }
 
   for (auto& t : threads) t.join();
+  if (!all_started) ranks_end = Clock::now();
 
   report.aborted = state_.is_aborted() && !report.deadlock;
   {
@@ -488,6 +530,14 @@ RunReport World::run(const std::function<void(Rank&)>& body) {
     for (const auto& s : state_.metrics->snapshot())
       report.metrics.emplace_back(s.name, s.value);
   }
+  const auto ns = [](Clock::duration d) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+  };
+  ranks_end = std::max(ranks_end, spawned); // ranks may end before the spawn
+  report.spawn_ns = ns(spawned - entry);
+  report.ranks_ns = ns(ranks_end - spawned);
+  report.teardown_ns = ns(Clock::now() - ranks_end);
   return report;
 }
 

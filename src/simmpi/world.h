@@ -236,6 +236,11 @@ struct RunReport {
   std::vector<int32_t> ranks_failed;
   uint64_t comms_revoked = 0;
   uint64_t comms_shrunk = 0;
+  /// Wall-clock split of World::run, back to back: from entry until every
+  /// rank thread has started, until the last rank finished, until return.
+  uint64_t spawn_ns = 0;
+  uint64_t ranks_ns = 0;
+  uint64_t teardown_ns = 0;
 };
 
 class World {
@@ -283,10 +288,17 @@ public:
     std::chrono::milliseconds hard_deadline{0};
   };
 
+  /// How often the watchdog climbs its escalation ladder while ranks run.
+  /// The last rank to finish wakes it at once, so a run that ends does not
+  /// wait out the period.
+  static constexpr std::chrono::milliseconds kWatchdogPeriod{2};
+
   explicit World(Options opts);
 
   /// Runs `body` once per rank, each on its own thread; returns when all
-  /// rank threads finished (normally or by unwinding). Single use: the
+  /// rank threads finished (normally or by unwinding). A rank thread that
+  /// cannot be started aborts the run with "could not start rank thread N:
+  /// ..." in abort_reason; run() does not throw for it. Single use: the
   /// World keeps that run's slots, communicators and abort state, so call
   /// run() at most once per instance.
   RunReport run(const std::function<void(Rank&)>& body);

@@ -347,6 +347,8 @@ TEST(Bytecode, NonblockingAndPointToPoint) {
 
 /// Both engines must fail `src` with the same per-rank errors, rank 0's
 /// naming `error`: a located rank error, never a signal or a silent wrap.
+/// Every other rank must block until the abort (a recv nobody sends): a rank
+/// that could finish, say after an eager send, races rank 0's abort.
 void expect_rank_error(const std::string& src, const std::string& error) {
   const auto ast = run_src(src, Engine::Ast);
   const auto bc = run_src(src, Engine::Bytecode);
@@ -373,8 +375,33 @@ TEST(Bytecode, OutOfRangeRankOperandsAreRankErrors) {
                     "destination 4294967297 is outside [0, 2) at t:2:22");
   expect_rank_error("func main() {\n"
                     "  if (rank() == 0) { var v = mpi_recv(4294967297, 0); }\n"
-                    "  if (rank() == 1) { mpi_send(4, 0, 0); } }",
+                    "  if (rank() == 1) { var v = mpi_recv(0, 0); } }",
                     "source 4294967297 is outside [0, 2) at t:2:22");
+}
+
+// Send and recv tags are checked against [0, 2^31 - 1] on the int64, after
+// the peer, so no tag aliases another modulo 2^32.
+TEST(Bytecode, OutOfRangeTagsAreRankErrors) {
+  expect_rank_error("func main() {\n"
+                    "  if (rank() == 0) { mpi_send(42, 1, 4294967296); }\n"
+                    "  if (rank() == 1) { var v = mpi_recv(0, 0); } }",
+                    "tag 4294967296 is outside [0, 2147483647] at t:2:22");
+  expect_rank_error("func main() {\n"
+                    "  if (rank() == 0) { var v = mpi_recv(1, 0 - 1); }\n"
+                    "  if (rank() == 1) { var v = mpi_recv(0, 0); } }",
+                    "tag -1 is outside [0, 2147483647] at t:2:22");
+  expect_rank_error("func main() { mpi_send(4, 9, 0 - 1); }",
+                    "destination 9 is outside [0, 2) at t:1:15");
+  const std::string max_tag = R"(func main() {
+    if (rank() == 0) { mpi_send(42, 1, 2147483647); }
+    if (rank() == 1) { var v = mpi_recv(0, 2147483647); print(v); }
+  })";
+  for (const Engine engine : {Engine::Ast, Engine::Bytecode}) {
+    const auto r = run_src(max_tag, engine);
+    EXPECT_TRUE(r->result.clean) << r->result.mpi.abort_reason;
+    EXPECT_EQ(r->result.output, std::vector<std::string>{"rank 1: 42"})
+        << to_string(engine);
+  }
 }
 
 // num_threads is capped at miniomp::kMaxThreads before it narrows. Only

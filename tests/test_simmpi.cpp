@@ -5,8 +5,26 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <numeric>
+
+// ASan and TSan reserve huge shadow mappings, so an RLIMIT_AS low enough to
+// refuse a thread stack cannot be set under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define PARCOACH_SHADOW_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define PARCOACH_SHADOW_SANITIZER 1
+#endif
+#endif
 
 namespace parcoach::simmpi {
 namespace {
@@ -393,6 +411,97 @@ TEST(SimMpiP2P, InvalidPeerIsUsageError) {
   });
   EXPECT_FALSE(rep.ok);
   EXPECT_NE(rep.rank_errors[0].find("invalid rank"), std::string::npos);
+}
+
+// ---- Completion wakeup --------------------------------------------------------
+
+// The last rank to finish wakes the watchdog, so a run that ends does not
+// wait out World::kWatchdogPeriod: short runs are not quantized to its ticks.
+// A batch of 50 2-rank barrier runs must have median wall time and median
+// teardown under the period. A polling watchdog fails every batch (each run
+// waits at least one period), as does a lost wakeup; a host too busy to
+// schedule two threads within the period may fail one batch, so up to five
+// are tried.
+TEST(SimMpiWakeup, FinishedRunDoesNotWaitForTheWatchdogPeriod) {
+  using std::chrono::nanoseconds;
+  auto median = [](std::vector<nanoseconds> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  nanoseconds wall_p50{};
+  nanoseconds teardown_p50{};
+  for (int batch = 0; batch < 5; ++batch) {
+    std::vector<nanoseconds> wall;
+    std::vector<nanoseconds> teardown;
+    for (int i = 0; i < 50; ++i) {
+      World w(fast_world(2));
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto rep = w.run([](Rank& mpi) { mpi.barrier(); });
+      const nanoseconds elapsed = std::chrono::steady_clock::now() - t0;
+      ASSERT_TRUE(rep.ok) << rep.abort_reason << rep.deadlock_details;
+      EXPECT_LE(nanoseconds(rep.spawn_ns + rep.ranks_ns + rep.teardown_ns),
+                elapsed);
+      wall.push_back(elapsed);
+      teardown.push_back(nanoseconds(rep.teardown_ns));
+    }
+    wall_p50 = median(wall);
+    teardown_p50 = median(teardown);
+    if (wall_p50 < World::kWatchdogPeriod &&
+        teardown_p50 < World::kWatchdogPeriod)
+      break;
+  }
+  EXPECT_LT(wall_p50, World::kWatchdogPeriod);
+  EXPECT_LT(teardown_p50, World::kWatchdogPeriod);
+}
+
+// ---- Rank threads that cannot start -------------------------------------------
+
+/// In a death-test child: caps the address space at its current size plus
+/// `headroom` bytes, runs a 4-rank barrier world, prints the abort reason and
+/// exits 0 when the run failed with it, 1 otherwise.
+[[noreturn]] void run_with_address_headroom(size_t headroom) {
+  World w(fast_world(4));
+  size_t pages = 0;
+  std::ifstream("/proc/self/statm") >> pages; // first field: VmSize in pages
+  rlimit lim{};
+  getrlimit(RLIMIT_AS, &lim);
+  lim.rlim_cur = pages * static_cast<size_t>(sysconf(_SC_PAGESIZE)) + headroom;
+  if (pages == 0 || setrlimit(RLIMIT_AS, &lim) != 0) std::_Exit(2);
+  const auto rep = w.run([](Rank& mpi) { mpi.barrier(); });
+  std::fprintf(stderr, "%s\n", rep.abort_reason.c_str());
+  std::_Exit(!rep.ok && rep.aborted ? 0 : 1);
+}
+
+size_t default_thread_stack() {
+  pthread_attr_t attr;
+  size_t stack = 0;
+  if (pthread_getattr_default_np(&attr) == 0) {
+    pthread_attr_getstacksize(&attr, &stack);
+    pthread_attr_destroy(&attr);
+  }
+  return stack;
+}
+
+TEST(SimMpiSpawnDeathTest, NoRankThreadStarts) {
+#ifdef PARCOACH_SHADOW_SANITIZER
+  GTEST_SKIP() << "RLIMIT_AS is unusable under ASan/TSan shadow memory";
+#endif
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(run_with_address_headroom(size_t{1} << 20),
+              ::testing::ExitedWithCode(0), "could not start rank thread 0: ");
+}
+
+TEST(SimMpiSpawnDeathTest, OneRankThreadStarts) {
+#ifdef PARCOACH_SHADOW_SANITIZER
+  GTEST_SKIP() << "RLIMIT_AS is unusable under ASan/TSan shadow memory";
+#endif
+  const size_t stack = default_thread_stack();
+  ASSERT_GT(stack, 0u);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // Room for one default stack, not two: rank 0 starts and parks in the
+  // barrier, the abort unwinds it, and the run reports rank 1.
+  EXPECT_EXIT(run_with_address_headroom(stack + stack / 2),
+              ::testing::ExitedWithCode(0), "could not start rank thread 1: ");
 }
 
 } // namespace
