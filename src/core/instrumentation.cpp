@@ -1,5 +1,7 @@
 #include "core/instrumentation.h"
 
+#include <algorithm>
+
 namespace parcoach::core {
 
 namespace {
@@ -57,6 +59,55 @@ std::set<std::string> divergent_or_hazard_classes(const PhaseResult& phases,
   return armed;
 }
 
+/// What the plan inserts around one instruction. apply_plan asks this both
+/// to skip a block and to rewrite one, so the two cannot disagree.
+struct Checks {
+  bool mono = false;         // CheckMono before a collective
+  bool cc = false;           // CheckCC before a collective
+  bool cc_final = false;     // CheckCCFinal before a return of main
+  bool region_exit = false;  // RegionExit before a watched region's end
+  bool region_enter = false; // RegionEnter after a watched region's begin
+
+  [[nodiscard]] size_t count() const noexcept {
+    return size_t{mono} + cc + cc_final + region_exit + region_enter;
+  }
+  [[nodiscard]] bool any() const noexcept { return count() > 0; }
+};
+
+Checks checks_for(const Instruction& in, bool is_main,
+                  const InstrumentationPlan& plan) {
+  Checks c;
+  switch (in.op) {
+    case Opcode::CollComm:
+      c.mono = plan.mono_stmts.count(in.stmt_id) > 0;
+      c.cc = plan.cc_stmts.count(in.stmt_id) > 0;
+      break;
+    case Opcode::Return:
+      c.cc_final = is_main && plan.cc_final_in_main;
+      break;
+    case Opcode::OmpBegin:
+    case Opcode::OmpEnd: {
+      const bool watched = ir::is_single_threaded(in.omp) &&
+                           plan.watched_regions.count(in.region_id) > 0;
+      c.region_enter = watched && in.op == Opcode::OmpBegin;
+      c.region_exit = watched && in.op == Opcode::OmpEnd;
+      break;
+    }
+    default:
+      break;
+  }
+  return c;
+}
+
+/// A check instruction guarding `in`: it inherits the site and stmt id.
+Instruction guard(Opcode op, const Instruction& in) {
+  Instruction chk;
+  chk.op = op;
+  chk.loc = in.loc;
+  chk.stmt_id = in.stmt_id;
+  return chk;
+}
+
 } // namespace
 
 InstrumentationPlan make_plan(const ir::Module& m, const PhaseResult& phases,
@@ -108,61 +159,34 @@ size_t apply_plan(ir::Module& m, const InstrumentationPlan& plan) {
     ir::Function& fn = *fnp;
     const bool is_main = fn.name == "main";
     for (auto& bb : fn.blocks()) {
+      // A block with no instrumented site keeps its instruction vector.
+      if (std::none_of(bb.instrs.begin(), bb.instrs.end(),
+                       [&](const Instruction& in) {
+                         return checks_for(in, is_main, plan).any();
+                       }))
+        continue;
       std::vector<Instruction> out;
       out.reserve(bb.instrs.size() + 4);
       for (auto& in : bb.instrs) {
+        const Checks c = checks_for(in, is_main, plan);
         // Checks go *before* the guarded instruction.
-        if (in.op == Opcode::CollComm && plan.mono_stmts.count(in.stmt_id)) {
-          Instruction chk;
-          chk.op = Opcode::CheckMono;
-          chk.loc = in.loc;
-          chk.stmt_id = in.stmt_id;
-          out.push_back(std::move(chk));
-          ++inserted;
+        if (c.mono) out.push_back(guard(Opcode::CheckMono, in));
+        if (c.cc) {
+          out.push_back(guard(Opcode::CheckCC, in));
+          out.back().collective = in.collective;
         }
-        if (in.op == Opcode::CollComm && plan.cc_stmts.count(in.stmt_id)) {
-          Instruction chk;
-          chk.op = Opcode::CheckCC;
-          chk.loc = in.loc;
-          chk.stmt_id = in.stmt_id;
-          chk.collective = in.collective;
-          out.push_back(std::move(chk));
-          ++inserted;
+        if (c.cc_final) out.push_back(guard(Opcode::CheckCCFinal, in));
+        if (c.region_exit) {
+          out.push_back(guard(Opcode::RegionExit, in));
+          out.back().region_id = in.region_id;
         }
-        if (in.op == Opcode::Return && is_main && plan.cc_final_in_main) {
-          Instruction chk;
-          chk.op = Opcode::CheckCCFinal;
-          chk.loc = in.loc;
-          chk.stmt_id = in.stmt_id;
-          out.push_back(std::move(chk));
-          ++inserted;
-        }
-        const bool is_begin = in.op == Opcode::OmpBegin;
-        const bool is_end = in.op == Opcode::OmpEnd;
-        const bool watched = plan.watched_regions.count(in.region_id) > 0;
-        if (is_end && watched && ir::is_single_threaded(in.omp)) {
-          Instruction ex;
-          ex.op = Opcode::RegionExit;
-          ex.loc = in.loc;
-          ex.stmt_id = in.stmt_id;
-          ex.region_id = in.region_id;
-          out.push_back(std::move(ex));
-          ++inserted;
-        }
-        const ir::OmpKind kind = in.omp;
-        const int32_t rid = in.region_id;
-        const SourceLoc loc = in.loc;
-        const int32_t sid = in.stmt_id;
         out.push_back(std::move(in));
-        if (is_begin && watched && ir::is_single_threaded(kind)) {
-          Instruction en;
-          en.op = Opcode::RegionEnter;
-          en.loc = loc;
-          en.stmt_id = sid;
-          en.region_id = rid;
-          out.push_back(std::move(en));
-          ++inserted;
+        if (c.region_enter) {
+          Instruction enter = guard(Opcode::RegionEnter, out.back());
+          enter.region_id = out.back().region_id;
+          out.push_back(std::move(enter));
         }
+        inserted += c.count();
       }
       bb.instrs = std::move(out);
     }

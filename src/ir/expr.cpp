@@ -1,6 +1,6 @@
 #include "ir/expr.h"
 
-#include <sstream>
+#include "support/str.h"
 
 namespace parcoach::ir {
 
@@ -123,38 +123,40 @@ bool equal(const Expr& a, const Expr& b) {
   return true;
 }
 
-namespace {
-void print_expr(std::ostream& os, const Expr& e) {
+void append_expr(std::string& out, const Expr& e) {
   switch (e.kind) {
     case Expr::Kind::IntLit:
-      os << e.int_val;
+      str::append_int(out, e.int_val);
       break;
     case Expr::Kind::VarRef:
-      os << e.var;
+      out += e.var;
       break;
     case Expr::Kind::Unary:
-      os << to_string(e.un_op) << '(';
-      print_expr(os, *e.kids[0]);
-      os << ')';
+      out += to_string(e.un_op);
+      out += '(';
+      append_expr(out, *e.kids[0]);
+      out += ')';
       break;
     case Expr::Kind::Binary:
-      os << '(';
-      print_expr(os, *e.kids[0]);
-      os << ' ' << to_string(e.bin_op) << ' ';
-      print_expr(os, *e.kids[1]);
-      os << ')';
+      out += '(';
+      append_expr(out, *e.kids[0]);
+      out += ' ';
+      out += to_string(e.bin_op);
+      out += ' ';
+      append_expr(out, *e.kids[1]);
+      out += ')';
       break;
     case Expr::Kind::BuiltinCall:
-      os << to_string(e.builtin) << "()";
+      out += to_string(e.builtin);
+      out += "()";
       break;
   }
 }
-} // namespace
 
 std::string to_string(const Expr& e) {
-  std::ostringstream os;
-  print_expr(os, e);
-  return os.str();
+  std::string out;
+  append_expr(out, e);
+  return out;
 }
 
 } // namespace parcoach::ir

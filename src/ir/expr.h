@@ -81,6 +81,9 @@ struct Expr {
 /// Structural equality (ignores source locations).
 [[nodiscard]] bool equal(const Expr& a, const Expr& b);
 
+/// Appends the expression's DSL-compatible text to `out`.
+void append_expr(std::string& out, const Expr& e);
+
 /// Renders the expression as DSL-compatible text.
 [[nodiscard]] std::string to_string(const Expr& e);
 

@@ -1,165 +1,171 @@
 #include "ir/printer.h"
 
-#include <ostream>
-#include <sstream>
+#include "support/str.h"
 
 namespace parcoach::ir {
 
-void print(std::ostream& os, const Instruction& in) {
-  os << to_string(in.op);
+namespace {
+
+// Every piece of the text is appended to one caller-owned string; `put`
+// spells a line's pieces in order, as a stream insertion chain would.
+void add(std::string& out, std::string_view s) { out += s; }
+void add(std::string& out, char c) { out += c; }
+void add(std::string& out, int32_t v) { str::append_int(out, v); }
+void add(std::string& out, const Expr& e) { append_expr(out, e); }
+
+template <typename... Ts>
+void put(std::string& out, const Ts&... parts) {
+  (add(out, parts), ...);
+}
+
+void put_list(std::string& out, const std::vector<ExprPtr>& args) {
+  bool first = true;
+  for (const auto& a : args) {
+    if (!first) out += ", ";
+    append_expr(out, *a);
+    first = false;
+  }
+}
+
+/// "var = " when the instruction has a result variable.
+void put_result(std::string& out, const Instruction& in) {
+  if (!in.var.empty()) put(out, in.var, " = ");
+}
+
+void append_instr(std::string& out, const Instruction& in) {
+  out += to_string(in.op);
   switch (in.op) {
     case Opcode::Assign:
-      os << ' ' << in.var << " = " << to_string(*in.expr);
+      put(out, ' ', in.var, " = ", *in.expr);
       break;
-    case Opcode::Print: {
-      os << ' ';
-      bool first = true;
-      for (const auto& a : in.args) {
-        if (!first) os << ", ";
-        os << to_string(*a);
-        first = false;
-      }
+    case Opcode::Print:
+      out += ' ';
+      put_list(out, in.args);
       break;
-    }
-    case Opcode::Call: {
-      os << ' ';
-      if (!in.var.empty()) os << in.var << " = ";
-      os << in.callee << '(';
-      bool first = true;
-      for (const auto& a : in.args) {
-        if (!first) os << ", ";
-        os << to_string(*a);
-        first = false;
-      }
-      os << ')';
+    case Opcode::Call:
+      out += ' ';
+      put_result(out, in);
+      put(out, in.callee, '(');
+      put_list(out, in.args);
+      out += ')';
       break;
-    }
     case Opcode::CollComm:
-      os << ' ';
-      if (!in.var.empty()) os << in.var << " = ";
-      os << to_string(in.collective);
+      out += ' ';
+      put_result(out, in);
+      out += to_string(in.collective);
       if (in.collective == CollectiveKind::CommSplit) {
-        if (in.args.size() > 0) os << " color=" << to_string(*in.args[0]);
-        if (in.args.size() > 1) os << " key=" << to_string(*in.args[1]);
+        if (in.args.size() > 0) put(out, " color=", *in.args[0]);
+        if (in.args.size() > 1) put(out, " key=", *in.args[1]);
       } else if (in.collective == CollectiveKind::CommAgree &&
                  !in.args.empty()) {
-        os << " flag=" << to_string(*in.args[0]);
+        put(out, " flag=", *in.args[0]);
       } else if (in.collective == CollectiveKind::CommSetErrhandler &&
                  !in.args.empty()) {
-        os << " mode=" << to_string(*in.args[0]);
+        put(out, " mode=", *in.args[0]);
       } else if (!in.args.empty()) {
-        os << " value=" << to_string(*in.args[0]);
+        put(out, " value=", *in.args[0]);
       }
-      if (in.root) os << " root=" << to_string(*in.root);
-      if (in.reduce_op) os << " op=" << to_string(*in.reduce_op);
-      if (in.comm) os << " comm=" << to_string(*in.comm);
+      if (in.root) put(out, " root=", *in.root);
+      if (in.reduce_op) put(out, " op=", to_string(*in.reduce_op));
+      if (in.comm) put(out, " comm=", *in.comm);
       break;
     case Opcode::MpiInit:
-      os << ' ' << to_string(in.thread_level);
+      put(out, ' ', to_string(in.thread_level));
       break;
     case Opcode::MpiAbort:
-      os << ' ' << to_string(*in.args[0]);
+      put(out, ' ', *in.args[0]);
       break;
     case Opcode::SendMsg:
-      os << " value=" << to_string(*in.args[0]) << " dest=" << to_string(*in.root)
-         << " tag=" << to_string(*in.expr);
+      put(out, " value=", *in.args[0], " dest=", *in.root, " tag=", *in.expr);
       break;
     case Opcode::RecvMsg:
-      os << ' ';
-      if (!in.var.empty()) os << in.var << " = ";
-      os << "src=" << to_string(*in.root) << " tag=" << to_string(*in.expr);
+      out += ' ';
+      put_result(out, in);
+      put(out, "src=", *in.root, " tag=", *in.expr);
       break;
     case Opcode::WaitReq:
     case Opcode::TestReq:
-      os << ' ';
-      if (!in.var.empty()) os << in.var << " = ";
-      os << "req=" << to_string(*in.args[0]);
+      out += ' ';
+      put_result(out, in);
+      put(out, "req=", *in.args[0]);
       break;
-    case Opcode::WaitAllReq: {
-      os << " reqs=";
-      bool first = true;
-      for (const auto& a : in.args) {
-        if (!first) os << ", ";
-        os << to_string(*a);
-        first = false;
-      }
+    case Opcode::WaitAllReq:
+      out += " reqs=";
+      put_list(out, in.args);
       break;
-    }
     case Opcode::OmpBegin:
-      os << ' ' << to_string(in.omp) << " #" << in.region_id;
-      if (in.num_threads) os << " num_threads=" << to_string(*in.num_threads);
-      if (in.if_clause) os << " if=" << to_string(*in.if_clause);
-      if (in.nowait) os << " nowait";
+      put(out, ' ', to_string(in.omp), " #", in.region_id);
+      if (in.num_threads) put(out, " num_threads=", *in.num_threads);
+      if (in.if_clause) put(out, " if=", *in.if_clause);
+      if (in.nowait) out += " nowait";
       break;
     case Opcode::OmpEnd:
-      os << ' ' << to_string(in.omp) << " #" << in.region_id;
+      put(out, ' ', to_string(in.omp), " #", in.region_id);
       break;
     case Opcode::ImplicitBarrier:
-      os << " #" << in.region_id;
+      put(out, " #", in.region_id);
       break;
     case Opcode::ExplicitBarrier:
       break;
     case Opcode::Br:
       break;
     case Opcode::CondBr:
-      os << ' ' << to_string(*in.expr);
+      put(out, ' ', *in.expr);
       break;
     case Opcode::Return:
-      if (in.expr) os << ' ' << to_string(*in.expr);
+      if (in.expr) put(out, ' ', *in.expr);
       break;
     case Opcode::CheckCC:
-      os << ' ' << to_string(in.collective);
+      put(out, ' ', to_string(in.collective));
       break;
     case Opcode::CheckCCFinal:
       break;
     case Opcode::CheckMono:
     case Opcode::RegionEnter:
     case Opcode::RegionExit:
-      os << " #" << in.region_id;
+      put(out, " #", in.region_id);
       break;
   }
 }
 
-void print(std::ostream& os, const Function& fn) {
-  os << "func " << fn.name << '(';
+void append_function(std::string& out, const Function& fn) {
+  put(out, "func ", fn.name, '(');
   for (size_t i = 0; i < fn.params.size(); ++i) {
-    if (i) os << ", ";
-    os << fn.params[i];
+    if (i) out += ", ";
+    out += fn.params[i];
   }
-  os << ") entry=bb" << fn.entry << " exit=bb" << fn.exit << " {\n";
+  put(out, ") entry=bb", fn.entry, " exit=bb", fn.exit, " {\n");
   for (const auto& bb : fn.blocks()) {
-    os << "bb" << bb.id << ":";
+    put(out, "bb", bb.id, ':');
     if (!bb.succs.empty()) {
-      os << "  ; succs:";
-      for (BlockId s : bb.succs) os << " bb" << s;
+      out += "  ; succs:";
+      for (BlockId s : bb.succs) put(out, " bb", s);
     }
-    os << '\n';
+    out += '\n';
     for (const auto& in : bb.instrs) {
-      os << "  ";
-      print(os, in);
-      os << '\n';
+      out += "  ";
+      append_instr(out, in);
+      out += '\n';
     }
   }
-  os << "}\n";
+  out += "}\n";
 }
 
-void print(std::ostream& os, const Module& m) {
-  for (const auto& f : m.functions()) {
-    print(os, *f);
-    os << '\n';
-  }
-}
+} // namespace
 
 std::string to_text(const Function& fn) {
-  std::ostringstream os;
-  print(os, fn);
-  return os.str();
+  std::string out;
+  append_function(out, fn);
+  return out;
 }
 
 std::string to_text(const Module& m) {
-  std::ostringstream os;
-  print(os, m);
-  return os.str();
+  std::string out;
+  for (const auto& f : m.functions()) {
+    append_function(out, *f);
+    out += '\n';
+  }
+  return out;
 }
 
 } // namespace parcoach::ir

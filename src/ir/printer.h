@@ -7,14 +7,9 @@
 
 #include "ir/module.h"
 
-#include <iosfwd>
 #include <string>
 
 namespace parcoach::ir {
-
-void print(std::ostream& os, const Instruction& in);
-void print(std::ostream& os, const Function& fn);
-void print(std::ostream& os, const Module& m);
 
 [[nodiscard]] std::string to_text(const Function& fn);
 [[nodiscard]] std::string to_text(const Module& m);

@@ -35,22 +35,11 @@ bool eliminate_dead_code(ir::Function& fn) {
       collect_reads(in.if_clause, reads);
     }
   }
+  auto dead = [&](const Instruction& in) {
+    return in.op == Opcode::Assign && !in.var.empty() && !reads.count(in.var);
+  };
   bool changed = false;
-  for (auto& bb : fn.blocks()) {
-    auto keep = [&](const Instruction& in) {
-      if (in.op != Opcode::Assign) return true;
-      if (in.var.empty()) return true;
-      return reads.count(in.var) > 0;
-    };
-    const size_t before = bb.instrs.size();
-    std::vector<Instruction> kept;
-    kept.reserve(before);
-    for (auto& in : bb.instrs)
-      if (keep(in)) kept.push_back(std::move(in));
-    changed |= kept.size() != before;
-    // Unconditional: instructions were moved out above even when all kept.
-    bb.instrs = std::move(kept);
-  }
+  for (auto& bb : fn.blocks()) changed |= std::erase_if(bb.instrs, dead) > 0;
   return changed;
 }
 

@@ -1,6 +1,8 @@
 // Small string utilities shared across the project.
 #pragma once
 
+#include <charconv>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -29,6 +31,13 @@ template <typename... Ts>
   std::ostringstream os;
   (os << ... << parts);
   return os.str();
+}
+
+/// Appends the decimal spelling of `v` to `out`, as `os << v` would.
+inline void append_int(std::string& out, int64_t v) {
+  char buf[20]; // "-9223372036854775808"
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
 }
 
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix) noexcept;

@@ -216,6 +216,75 @@ TEST(Apply, InstrumentedIrStillVerifies) {
   EXPECT_TRUE(str::contains(text, "region_enter"));
 }
 
+// apply_plan rewrites only the blocks that hold an instrumented site; every
+// other block keeps its instruction buffer.
+constexpr const char* kThreeSiteBlocks = R"(func main() {
+    var x = rank();
+    if (rank() == 0) {
+      x = mpi_bcast(x, 0);
+    }
+    mpi_barrier();
+    omp parallel {
+      omp single {
+        x = mpi_allreduce(x, sum);
+      }
+    }
+  })";
+
+std::vector<const ir::Instruction*> block_buffers(const ir::Module& m) {
+  std::vector<const ir::Instruction*> bufs;
+  for (const auto& fn : m.functions())
+    for (const auto& bb : fn->blocks()) bufs.push_back(bb.instrs.data());
+  return bufs;
+}
+
+TEST(Apply, EmptyPlanLeavesEveryBlockInPlace) {
+  auto r = plan_for(kThreeSiteBlocks, /*apply=*/false);
+  const auto before = block_buffers(*r->mod);
+  const std::string text = ir::to_text(*r->mod);
+  EXPECT_EQ(apply_plan(*r->mod, InstrumentationPlan{}), 0u);
+  EXPECT_EQ(block_buffers(*r->mod), before);
+  EXPECT_EQ(ir::to_text(*r->mod), text);
+}
+
+TEST(Apply, OneArmedSiteRewritesOnlyItsBlock) {
+  auto r = plan_for(kThreeSiteBlocks, /*apply=*/false);
+  const ir::Function& fn = *r->mod->find("main");
+  ASSERT_EQ(r->mod->functions().size(), 1u);
+  size_t site_block = 0;
+  int32_t site_stmt = -1;
+  for (size_t b = 0; b < fn.blocks().size(); ++b)
+    for (const auto& in : fn.blocks()[b].instrs)
+      if (in.op == ir::Opcode::CollComm &&
+          in.collective == ir::CollectiveKind::Bcast) {
+        site_block = b;
+        site_stmt = in.stmt_id;
+      }
+  ASSERT_GE(site_stmt, 0);
+  InstrumentationPlan plan;
+  plan.cc_stmts.insert(site_stmt);
+  const auto before = block_buffers(*r->mod);
+  EXPECT_EQ(apply_plan(*r->mod, plan), 1u);
+  const auto after = block_buffers(*r->mod);
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < after.size(); ++i) {
+    if (i == site_block)
+      EXPECT_NE(after[i], before[i]) << "bb" << i;
+    else
+      EXPECT_EQ(after[i], before[i]) << "bb" << i;
+  }
+  const auto& instrs = fn.blocks()[site_block].instrs;
+  size_t checks = 0;
+  for (size_t i = 0; i < instrs.size(); ++i) {
+    if (instrs[i].op != ir::Opcode::CheckCC) continue;
+    ++checks;
+    ASSERT_LT(i + 1, instrs.size());
+    EXPECT_EQ(instrs[i + 1].stmt_id, site_stmt);
+    EXPECT_EQ(instrs[i].collective, ir::CollectiveKind::Bcast);
+  }
+  EXPECT_EQ(checks, 1u);
+}
+
 // ---- The per-comm-class arming matrix ---------------------------------------
 
 TEST(ArmingMatrix, CleanWorldDirtySubcommArmsOnlySubcomm) {

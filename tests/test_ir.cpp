@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <sstream>
+
 namespace parcoach::ir {
 namespace {
 
@@ -321,6 +324,27 @@ TEST(Printer, EmitsParsableSummary) {
   EXPECT_TRUE(str::contains(text, "MPI_Allreduce"));
   EXPECT_TRUE(str::contains(text, "op=sum"));
   EXPECT_TRUE(str::contains(text, "mpi_init serialized"));
+}
+
+TEST(Printer, IntegersSpellAsAStreamWould) {
+  for (int64_t v : {int64_t{0}, int64_t{7}, int64_t{-7},
+                    std::numeric_limits<int64_t>::max(),
+                    std::numeric_limits<int64_t>::min()}) {
+    std::ostringstream os;
+    os << v;
+    EXPECT_EQ(to_string(*Expr::int_lit(v)), os.str());
+  }
+}
+
+TEST(Printer, AppendExprAppendsToTheCallersBuffer) {
+  const ExprPtr e = Expr::binary(
+      BinaryOp::Le, Expr::unary(UnaryOp::Neg, Expr::var_ref("n")),
+      Expr::binary(BinaryOp::Mod, Expr::builtin_call(Builtin::OmpThreadNum),
+                   Expr::int_lit(-3)));
+  std::string out = "x = ";
+  append_expr(out, *e);
+  EXPECT_EQ(out, "x = (-(n) <= (omp_thread_num() % -3))");
+  EXPECT_EQ(to_string(*e), out.substr(4));
 }
 
 } // namespace

@@ -162,6 +162,53 @@ TEST(Dce, PreservesInstructionsWhenNothingIsDead) {
   EXPECT_TRUE(str::contains(text, "a = 3"));
 }
 
+std::vector<const ir::Instruction*> block_buffers(const ir::Function& fn) {
+  std::vector<const ir::Instruction*> bufs;
+  for (const auto& bb : fn.blocks()) bufs.push_back(bb.instrs.data());
+  return bufs;
+}
+
+TEST(Dce, NothingDeadLeavesEveryBlockInPlace) {
+  auto m = lower(R"(func f(n) {
+    var a = 3;
+    if (n > a) {
+      a = a + n;
+    }
+    print(a);
+  })");
+  ir::Function& fn = *m->functions()[0];
+  const auto before = block_buffers(fn);
+  const std::string text = ir::to_text(fn);
+  EXPECT_FALSE(eliminate_dead_code(fn));
+  EXPECT_EQ(block_buffers(fn), before);
+  EXPECT_EQ(ir::to_text(fn), text);
+}
+
+TEST(Dce, RemovesExactlyTheDeadAssignmentInOrder) {
+  auto m = lower(R"(func f() {
+    var a = 1;
+    var dead = 2;
+    var b = a + 3;
+    print(a, b);
+  })");
+  ir::Function& fn = *m->functions()[0];
+  auto listing = [&fn](bool skip_dead) {
+    std::vector<std::string> out;
+    for (const auto& bb : fn.blocks())
+      for (const auto& in : bb.instrs)
+        if (!skip_dead || in.var != "dead")
+          out.push_back(in.var + ":" + std::string(ir::to_string(in.op)));
+    return out;
+  };
+  const auto expected = listing(/*skip_dead=*/true);
+  const auto before = block_buffers(fn);
+  EXPECT_TRUE(eliminate_dead_code(fn));
+  EXPECT_EQ(listing(/*skip_dead=*/false), expected);
+  // Erased in place: even the block that lost an instruction keeps its buffer.
+  EXPECT_EQ(block_buffers(fn), before);
+  EXPECT_TRUE(str::contains(first_fn_text(*m), "b = (a + 3)"));
+}
+
 TEST(PassManager, PipelineTimingsRecorded) {
   auto m = lower("func f() { var x = 1 + 2; if (0) { var d = x; } print(x); }");
   auto pm = PassManager::standard_pipeline();

@@ -68,6 +68,41 @@ TEST_P(Figure1SuiteTest, GenerationIsDeterministic) {
   FAIL() << "subject disappeared from the suite";
 }
 
+// The emitted (instrumented) text of each subject, pinned by byte length and
+// FNV-1a-64 hash: a printer or planner change must leave it byte-identical.
+TEST_P(Figure1SuiteTest, EmittedTextIsGolden) {
+  struct Golden {
+    const char* name;
+    size_t bytes;
+    uint64_t fnv1a;
+  };
+  static constexpr Golden kGolden[] = {
+      {"bt_mz", 135562, 0x95209b00d5753db9ULL},
+      {"sp_mz", 102468, 0x2dcaa2c2c15102e6ULL},
+      {"lu_mz", 90221, 0x2d50fe5bee8ceb39ULL},
+      {"epcc_suite", 30962, 0x975fbbf6517c91ebULL},
+      {"hera", 115629, 0x26f617f144e4c6f0ULL},
+  };
+  const GeneratedProgram& g = GetParam();
+  SourceManager sm;
+  DiagnosticEngine diags;
+  const auto r =
+      driver::compile(sm, g.name, g.source, diags, driver::PipelineOptions{});
+  ASSERT_TRUE(r.ok) << diags.to_text(sm);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : r.emitted) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  for (const Golden& gold : kGolden) {
+    if (g.name != gold.name) continue;
+    EXPECT_EQ(r.emitted.size(), gold.bytes);
+    EXPECT_EQ(h, gold.fnv1a) << std::hex << "got 0x" << h;
+    return;
+  }
+  FAIL() << "no golden text for " << g.name;
+}
+
 INSTANTIATE_TEST_SUITE_P(Workloads, Figure1SuiteTest,
                          ::testing::ValuesIn(figure1_suite()),
                          [](const auto& info) { return info.param.name; });
